@@ -14,10 +14,10 @@
 
 #include "bench_common.h"
 #include "bench_telemetry.h"
-#include "sparql/query_graph.h"
-#include "exec/executor.h"
 #include "opt/join_order.h"
+#include "phys/phys_executor.h"
 #include "sparql/parser.h"
+#include "sparql/query_graph.h"
 #include "util/string_util.h"
 #include "util/table_printer.h"
 
@@ -125,9 +125,9 @@ int main() {
       auto parsed = sparql::ParseQuery(queries[qi].text);
       auto bgp = sparql::EncodeBgp(*parsed, ds.graph.dict());
       opt::Plan plan = opt::PlanJoinOrder(bgp, *variants[vi].second);
-      exec::ExecOptions eopts;
+      phys::ExecOptions eopts;
       eopts.max_intermediate_rows = 100'000'000;
-      auto r = exec::ExecuteBgp(ds.graph, bgp, plan.order, eopts);
+      auto r = phys::ExecuteBgp(ds.graph, bgp, plan.order, eopts);
       double est = variants[vi].second->EstimateResultCardinality(bgp);
       results[vi].qerrors.push_back(
           bench::QError(est, static_cast<double>(r->num_results)));

@@ -10,9 +10,9 @@
 #include "datagen/lubm.h"
 #include "datagen/watdiv.h"
 #include "datagen/yago.h"
-#include "exec/executor.h"
 #include "obs/trace.h"
 #include "opt/join_order.h"
+#include "phys/phys_executor.h"
 #include "shacl/generator.h"
 #include "shacl/shapes_io.h"
 #include "sparql/parser.h"
@@ -178,7 +178,7 @@ QueryRun RunQuery(const Dataset& ds, Approach a, const std::string& text,
     std::abort();
   }
 
-  exec::ExecOptions eopts;
+  phys::ExecOptions eopts;
   eopts.timeout_ms = options.timeout_ms;
   eopts.max_intermediate_rows = options.max_rows;
 
@@ -194,9 +194,9 @@ QueryRun RunQuery(const Dataset& ds, Approach a, const std::string& text,
     run.est_result_card =
         provider ? provider->EstimateResultCardinality(bgp)
                  : std::numeric_limits<double>::quiet_NaN();
-    exec::ExecOptions traced_opts = eopts;
+    phys::ExecOptions traced_opts = eopts;
     if (trace_dir != nullptr) traced_opts.trace = &trace.exec;
-    auto r = exec::ExecuteBgp(ds.graph, bgp, plan.order, traced_opts);
+    auto r = phys::ExecuteBgp(ds.graph, bgp, plan.order, traced_opts);
     run.num_results = r->num_results;
     run.true_plan_cost = r->TrueCost();
     run.timed_out = r->timed_out;
@@ -246,7 +246,7 @@ QueryRun RunQuery(const Dataset& ds, Approach a, const std::string& text,
     rng.Shuffle(shuffled.patterns);
     auto bgp = sparql::EncodeBgp(shuffled, ds.graph.dict());
     opt::Plan plan = PlanFor(ds, a, bgp);
-    auto r = exec::ExecuteBgp(ds.graph, bgp, plan.order, eopts);
+    auto r = phys::ExecuteBgp(ds.graph, bgp, plan.order, eopts);
     if (r->timed_out) run.timed_out = true;
     times.push_back(r->elapsed_ms);
   }

@@ -14,8 +14,8 @@
 #include "baselines/sampling/wander_join.h"
 #include "bench_common.h"
 #include "bench_telemetry.h"
-#include "exec/executor.h"
 #include "opt/join_order.h"
+#include "phys/phys_executor.h"
 #include "sparql/parser.h"
 #include "util/string_util.h"
 #include "util/table_printer.h"
@@ -47,10 +47,10 @@ int main() {
   for (const auto& q : workload::LubmQueries()) {
     auto parsed = sparql::ParseQuery(q.text);
     auto bgp = sparql::EncodeBgp(*parsed, ds.graph.dict());
-    exec::ExecOptions eopts;
+    phys::ExecOptions eopts;
     eopts.max_intermediate_rows = 100'000'000;
     auto plan = opt::PlanJoinOrder(bgp, *ds.gs_est);
-    auto truth = exec::ExecuteBgp(ds.graph, bgp, plan.order, eopts);
+    auto truth = phys::ExecuteBgp(ds.graph, bgp, plan.order, eopts);
     std::vector<std::string> row{q.label};
     for (int i = 0; i < 5; ++i) {
       double est = providers[i]->EstimateResultCardinality(bgp);
@@ -82,10 +82,10 @@ int main() {
     auto bgp = sparql::EncodeBgp(*parsed, ds.graph.dict());
     auto cs_plan = opt::PlanJoinOrder(bgp, *ds.cs);
     auto ecs_plan = opt::PlanJoinOrder(bgp, *pairs);
-    exec::ExecOptions eopts;
+    phys::ExecOptions eopts;
     eopts.max_intermediate_rows = 100'000'000;
-    cs_cost += exec::ExecuteBgp(ds.graph, bgp, cs_plan.order, eopts)->TrueCost();
-    ecs_cost += exec::ExecuteBgp(ds.graph, bgp, ecs_plan.order, eopts)->TrueCost();
+    cs_cost += phys::ExecuteBgp(ds.graph, bgp, cs_plan.order, eopts)->TrueCost();
+    ecs_cost += phys::ExecuteBgp(ds.graph, bgp, ecs_plan.order, eopts)->TrueCost();
     if (cs_plan.order != ecs_plan.order) ++plans_changed;
   }
   std::printf("\nplan quality over the workload: CS true cost %s vs ECS %s "

@@ -23,8 +23,6 @@
 
 #include "bench_telemetry.h"
 #include "datagen/lubm.h"
-#include "exec/executor.h"
-#include "exec/select_executor.h"
 #include "opt/plan.h"
 #include "phys/phys_executor.h"
 #include "phys/physical_plan.h"
@@ -47,7 +45,7 @@ uint64_t Fnv1a(uint64_t v, uint64_t h) {
   return h;
 }
 
-uint64_t TableDigest(const exec::ResultTable& table) {
+uint64_t TableDigest(const phys::ResultTable& table) {
   uint64_t h = 1469598103934665603ull;
   h = Fnv1a(table.var_names.size(), h);
   h = Fnv1a(table.rows.size(), h);
@@ -75,7 +73,7 @@ ShapeResult RunMode(const rdf::Graph& graph, const sparql::ParsedQuery& query,
   out.best_ms = 1e30;
   for (int rep = 0; rep < reps; ++rep) {
     Timer timer;
-    auto table = phys::ExecuteSelectPhysical(graph, query, bgp, pplan);
+    auto table = phys::ExecuteQuery(graph, query, bgp, pplan);
     double ms = timer.ElapsedMs();
     if (!table.ok()) {
       std::fprintf(stderr, "execution failed (%s): %s\n",
@@ -143,7 +141,7 @@ int main() {
     // operator choice is measured under perfect estimates.
     opt::Plan plan;
     plan.order = {0, 1};
-    auto truth = exec::ExecuteBgp(graph, bgp, plan.order);
+    auto truth = phys::ExecuteBgp(graph, bgp, plan.order);
     if (!truth.ok()) {
       std::fprintf(stderr, "ground truth failed: %s\n",
                    truth.status().ToString().c_str());

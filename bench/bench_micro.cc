@@ -5,8 +5,8 @@
 
 #include "card/estimator.h"
 #include "datagen/lubm.h"
-#include "exec/executor.h"
 #include "opt/join_order.h"
+#include "phys/phys_executor.h"
 #include "shacl/generator.h"
 #include "sparql/parser.h"
 #include "stats/annotator.h"
@@ -107,7 +107,7 @@ void BM_ExecuteExampleQuery(benchmark::State& state) {
                                  card::StatsMode::kShape);
   opt::Plan plan = opt::PlanJoinOrder(ctx.bgp, est);
   for (auto _ : state) {
-    auto r = exec::ExecuteBgp(ctx.graph, ctx.bgp, plan.order);
+    auto r = phys::ExecuteBgp(ctx.graph, ctx.bgp, plan.order);
     benchmark::DoNotOptimize(r->num_results);
   }
 }

@@ -36,7 +36,7 @@ uint64_t Fnv1a(uint64_t v, uint64_t h) {
   return h;
 }
 
-uint64_t TableDigest(const exec::ResultTable& table, uint64_t h) {
+uint64_t TableDigest(const phys::ResultTable& table, uint64_t h) {
   h = Fnv1a(table.var_names.size(), h);
   h = Fnv1a(table.rows.size(), h);
   for (const auto& row : table.rows) {

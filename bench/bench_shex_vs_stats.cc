@@ -9,8 +9,8 @@
 #include "baselines/shex/shex_heuristic.h"
 #include "bench_common.h"
 #include "bench_telemetry.h"
-#include "exec/executor.h"
 #include "opt/join_order.h"
+#include "phys/phys_executor.h"
 #include "sparql/parser.h"
 #include "util/string_util.h"
 #include "util/table_printer.h"
@@ -59,9 +59,9 @@ int main() {
     uint64_t best = ~uint64_t{0};
     std::vector<std::string> cells{q.label};
     for (int i = 0; i < 4; ++i) {
-      exec::ExecOptions eopts;
+      phys::ExecOptions eopts;
       eopts.max_intermediate_rows = 100'000'000;
-      auto r = exec::ExecuteBgp(ds.graph, bgp, plans[i].order, eopts);
+      auto r = phys::ExecuteBgp(ds.graph, bgp, plans[i].order, eopts);
       costs[i] = r->TrueCost();
       rows[i].total_true_cost += costs[i];
       rows[i].total_ms += r->elapsed_ms;

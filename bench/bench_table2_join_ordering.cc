@@ -7,9 +7,9 @@
 
 #include "bench_common.h"
 #include "bench_telemetry.h"
-#include "exec/executor.h"
-#include "rdf/vocab.h"
 #include "opt/join_order.h"
+#include "phys/phys_executor.h"
+#include "rdf/vocab.h"
 #include "sparql/parser.h"
 #include "util/string_util.h"
 #include "util/table_printer.h"
@@ -39,7 +39,7 @@ void PrintOrdering(const bench::Dataset& ds, bench::Approach approach,
   auto parsed = sparql::ParseQuery(workload::LubmExampleQuery());
   auto bgp = sparql::EncodeBgp(*parsed, ds.graph.dict());
   opt::Plan plan = bench::PlanFor(ds, approach, bgp);
-  auto truth = exec::ExecuteBgp(ds.graph, bgp, plan.order);
+  auto truth = phys::ExecuteBgp(ds.graph, bgp, plan.order);
 
   std::printf("\n%s\n", title);
   TablePrinter table({"#", "Triple Pattern (TP)", "DSC", "DOC", "E_TP Card",

@@ -10,8 +10,8 @@
 #include <string>
 
 #include "bench_common.h"
-#include "exec/executor.h"
 #include "opt/join_order.h"
+#include "phys/phys_executor.h"
 #include "sparql/parser.h"
 #include "sparql/query_graph.h"
 #include "util/string_util.h"
@@ -48,9 +48,9 @@ int main(int argc, char** argv) {
                       "est result", "true result", "q-error", "runtime ms"});
   for (bench::Approach a : bench::AllApproaches()) {
     opt::Plan plan = bench::PlanFor(ds, a, bgp);
-    exec::ExecOptions eopts;
+    phys::ExecOptions eopts;
     eopts.timeout_ms = 10000;
-    auto r = exec::ExecuteBgp(ds.graph, bgp, plan.order, eopts);
+    auto r = phys::ExecuteBgp(ds.graph, bgp, plan.order, eopts);
     const card::PlannerStatsProvider* provider = bench::ProviderFor(ds, a);
     double est_result = provider ? provider->EstimateResultCardinality(bgp) : 0;
 

@@ -12,8 +12,8 @@
 
 #include "card/estimator.h"
 #include "datagen/lubm.h"
-#include "exec/executor.h"
 #include "opt/join_order.h"
+#include "phys/phys_executor.h"
 #include "shacl/generator.h"
 #include "shacl/shapes_io.h"
 #include "shacl/validator.h"
@@ -79,7 +79,7 @@ int main() {
        {static_cast<const card::PlannerStatsProvider*>(&gs_est),
         static_cast<const card::PlannerStatsProvider*>(&ss_est)}) {
     opt::Plan plan = opt::PlanJoinOrder(bgp, *provider);
-    auto result = exec::ExecuteBgp(graph, bgp, plan.order);
+    auto result = phys::ExecuteBgp(graph, bgp, plan.order);
     if (!result.ok()) {
       std::fprintf(stderr, "execution failed: %s\n",
                    result.status().ToString().c_str());

@@ -10,8 +10,8 @@
 
 #include "card/estimator.h"
 #include "datagen/yago.h"
-#include "exec/executor.h"
 #include "opt/join_order.h"
+#include "phys/phys_executor.h"
 #include "shacl/generator.h"
 #include "sparql/parser.h"
 #include "stats/annotator.h"
@@ -80,7 +80,7 @@ int main() {
        {static_cast<const card::PlannerStatsProvider*>(&gs_est),
         static_cast<const card::PlannerStatsProvider*>(&ss_est)}) {
     opt::Plan plan = opt::PlanJoinOrder(bgp, *p);
-    auto r = exec::ExecuteBgp(graph, bgp, plan.order);
+    auto r = phys::ExecuteBgp(graph, bgp, plan.order);
     std::printf("%-3s est cost %-12s true cost %-12s results %s in %.1f ms\n",
                 p->name().c_str(),
                 WithCommas(static_cast<uint64_t>(plan.total_cost)).c_str(),

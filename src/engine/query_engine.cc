@@ -11,7 +11,6 @@
 #include "analysis/plan_verify.h"
 #include "analysis/query_lint.h"
 #include "card/corrected.h"
-#include "exec/executor.h"
 #include "obs/build_info.h"
 #include "obs/chrome_trace.h"
 #include "obs/event_log.h"
@@ -703,13 +702,12 @@ Result<QueryResult> QueryEngine::ExecuteInternal(std::string_view sparql,
     }
   }
 
-  exec::ExecOptions eopts = state_->options.exec;
+  phys::ExecOptions eopts = state_->options.exec;
   // Physical operator selection rides inside the "plan" phase. ASK and
-  // LIMIT queries stay on the streaming depth-first executor (early
-  // termination beats materializing), recorded as a per-step downgrade.
-  const bool pipelined =
-      query.is_ask || query.limit.has_value() || eopts.limit > 0;
-  if (pipelined && result.phys.Materializes()) {
+  // LIMIT queries get all-INLJ plans, which stream, so early termination
+  // skips the work a merge or hash would do up front; the downgrade is
+  // recorded per step.
+  if (query.is_ask || query.limit.has_value()) {
     phys::ForceInlj(&result.phys, "pipelined: ASK/LIMIT early termination");
   }
   result.plan_ms = timer.ElapsedMs();
@@ -853,50 +851,21 @@ Result<QueryResult> QueryEngine::ExecuteInternal(std::string_view sparql,
     }
   };
 
+  ASSIGN_OR_RETURN(phys::ResultTable table,
+                   phys::ExecuteQuery(state_->graph, query, bgp, result.phys,
+                                      eopts));
+  uint64_t num_results = table.rows.size();
+  const bool timed_out = table.timed_out;
+  const bool cancelled = table.cancelled;
   if (query.is_ask) {
-    // One solution suffices.
-    sparql::ParsedQuery probe = query;
-    probe.limit = 1;
-    ASSIGN_OR_RETURN(exec::ResultTable table,
-                     exec::ExecuteSelect(state_->graph, probe, bgp,
-                                         result.plan.order, eopts));
-    result.ask = !table.rows.empty();
-    finish(table.rows.size(), table.timed_out, table.cancelled);
-    return result;
-  }
-  if (query.count_aggregate) {
-    // COUNT(*) counts solutions (bag semantics): run the BGP + filters and
-    // read the match counter.
-    sparql::ParsedQuery counting = query;
-    counting.count_aggregate = false;
-    counting.select_all = true;
-    counting.projection.clear();
-    exec::ResultTable table;
-    if (result.phys.Materializes()) {
-      ASSIGN_OR_RETURN(table,
-                       phys::ExecuteSelectPhysical(state_->graph, counting,
-                                                   bgp, result.phys, eopts));
-    } else {
-      ASSIGN_OR_RETURN(table,
-                       exec::ExecuteSelect(state_->graph, counting, bgp,
-                                           result.plan.order, eopts));
-    }
-    result.count = table.bgp_matches;
-    finish(table.bgp_matches, table.timed_out, table.cancelled);
-    return result;
-  }
-
-  if (result.phys.Materializes()) {
-    ASSIGN_OR_RETURN(result.table,
-                     phys::ExecuteSelectPhysical(state_->graph, query, bgp,
-                                                 result.phys, eopts));
+    result.ask = num_results > 0;
+  } else if (query.count_aggregate) {
+    // COUNT(*) counts solutions (bag semantics).
+    result.count = num_results = table.bgp_matches;
   } else {
-    ASSIGN_OR_RETURN(result.table,
-                     exec::ExecuteSelect(state_->graph, query, bgp,
-                                         result.plan.order, eopts));
+    result.table = std::move(table);
   }
-  finish(result.table.rows.size(), result.table.timed_out,
-         result.table.cancelled);
+  finish(num_results, timed_out, cancelled);
   return result;
 }
 
@@ -1175,11 +1144,6 @@ Result<AnalyzeResult> QueryEngine::ExplainAnalyze(std::string_view sparql) const
                    PlanQuery(bgp, &trace.planner, &inferred_anchors,
                              corrections.empty() ? nullptr : &corrections));
   ASSIGN_OR_RETURN(phys::PhysicalPlan pplan, PlanPhysicalFor(bgp, plan));
-  // The profiling run is full (no early termination), but an options-level
-  // LIMIT still needs the streaming executor's pushdown.
-  if (state_->options.exec.limit > 0 && pplan.Materializes()) {
-    phys::ForceInlj(&pplan, "pipelined: LIMIT early termination");
-  }
   trace.AddPhase("plan", phase.ElapsedMs());
   phase.Reset();
   trace.optimizer = plan.provider;
@@ -1195,22 +1159,16 @@ Result<AnalyzeResult> QueryEngine::ExplainAnalyze(std::string_view sparql) const
   trace.AddPhase("estimate", phase.ElapsedMs());
   phase.Reset();
 
-  // Execute on the profiling executor: true per-step cardinalities (the
+  // Execute into the BGP count sink: true per-step cardinalities (the
   // paper's TZ Card ground truth) plus probe/scan counters. A local
   // resource tracker feeds the trace's resources block (EXPLAIN ANALYZE
   // always reports resource totals, registry or not).
   obs::ResourceTracker analyze_tracker;
-  exec::ExecOptions eopts = state_->options.exec;
+  phys::ExecOptions eopts = state_->options.exec;
   eopts.trace = &trace.exec;
   eopts.resources = &analyze_tracker;
-  exec::ExecResult run;
-  if (pplan.Materializes()) {
-    ASSIGN_OR_RETURN(
-        run, phys::ExecuteBgpPhysical(state_->graph, bgp, pplan, eopts));
-  } else {
-    ASSIGN_OR_RETURN(
-        run, exec::ExecuteBgp(state_->graph, bgp, plan.order, eopts));
-  }
+  ASSIGN_OR_RETURN(phys::ExecResult run,
+                   phys::ExecuteBgp(state_->graph, bgp, pplan, eopts));
   trace.AddPhase("execute", phase.ElapsedMs());
   trace.num_results = run.num_results;
   trace.timed_out = run.timed_out;

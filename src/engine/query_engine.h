@@ -13,12 +13,12 @@
 #include "analysis/shape_check.h"
 #include "cache/plan_cache.h"
 #include "card/estimator.h"
-#include "exec/select_executor.h"
 #include "obs/accuracy_ledger.h"
 #include "obs/flight_recorder.h"
 #include "obs/query_registry.h"
 #include "obs/trace.h"
 #include "opt/plan.h"
+#include "phys/phys_executor.h"
 #include "phys/physical_plan.h"
 #include "rdf/graph.h"
 #include "shacl/shapes.h"
@@ -36,7 +36,7 @@ struct EngineOptions {
     kTextual,      // no optimizer: execute patterns in textual order
   };
   Optimizer optimizer = Optimizer::kShapeStats;
-  exec::ExecOptions exec;
+  phys::ExecOptions exec;
   /// Run analysis::PlanVerifier on every plan before execution (cheap,
   /// O(n^2) in the BGP size). A violation means a planner/estimator bug;
   /// the query fails with an Internal status and the
@@ -61,8 +61,8 @@ struct EngineOptions {
   /// resolves SHAPESTATS_JOIN (auto | inlj | merge | hash) at plan time;
   /// tests force modes here to stay env-independent. Every mode produces
   /// byte-identical results — only the work profile changes. ASK and LIMIT
-  /// queries always run on the streaming INLJ executor (early termination
-  /// beats materialization), with the downgrade recorded in the plan.
+  /// queries always get all-INLJ plans, which stream and so stop as soon
+  /// as the answer is known; the downgrade is recorded in the plan.
   phys::JoinMode join_mode = phys::JoinMode::kEnv;
   /// Plan cache over canonicalized BGP templates (src/cache/): repeated
   /// query templates skip static-check + optimize + physical planning, and
@@ -79,7 +79,7 @@ struct EngineOptions {
   /// ExecuteBatch slot registers a record with phase, step progress, and a
   /// per-query ResourceTracker; /debug/queries and the shell's .running
   /// render it, and Cancel(id) requests cooperative cancellation served on
-  /// the executors' next work tick. kEnv resolves SHAPESTATS_REGISTRY at
+  /// the executor's next work tick. kEnv resolves SHAPESTATS_REGISTRY at
   /// Open time (enabled unless "0"/"off"/"false"/"no"); kOn / kOff force
   /// it. Disabled, queries carry no tracker and pay zero accounting cost
   /// (untraced executions skip even the per-tick publication).
@@ -93,11 +93,10 @@ const char* OptimizerName(EngineOptions::Optimizer opt);
 /// ASK queries set `ask`; COUNT(*) queries set `count` (the table is empty
 /// in both cases).
 struct QueryResult {
-  exec::ResultTable table;
+  phys::ResultTable table;
   opt::Plan plan;
   /// Operator choices for `plan`'s join order (empty for short-circuited
-  /// queries). When no step materializes, execution stayed on the
-  /// streaming depth-first executor.
+  /// queries).
   phys::PhysicalPlan phys;
   sparql::QueryShape shape = sparql::QueryShape::kComplex;
   std::optional<bool> ask;
@@ -106,8 +105,8 @@ struct QueryResult {
   double total_ms = 0;  // parse + optimize + execute
 };
 
-/// Result of ExplainAnalyze: the query is executed once on the profiling
-/// executor and the plan is annotated with estimated vs. true cardinality,
+/// Result of ExplainAnalyze: the query's BGP is executed once into the
+/// executor's count sink and the plan is annotated with estimated vs. true cardinality,
 /// q-error, and work counters per join step plus per-phase timings.
 struct AnalyzeResult {
   obs::QueryTrace trace;
@@ -194,8 +193,8 @@ class QueryEngine {
   /// shell's .check expose the same result offline.
   Result<analysis::ShapeCheckResult> StaticCheck(std::string_view sparql) const;
 
-  /// EXPLAIN ANALYZE: plans the query, executes it once on the profiling
-  /// executor, and reports per-step estimated vs. true cardinality with
+  /// EXPLAIN ANALYZE: plans the query, executes its BGP once into the
+  /// executor's count sink, and reports per-step estimated vs. true cardinality with
   /// q-error, rows scanned and index probes, plus per-phase timings —
   /// in table and JSON form.
   Result<AnalyzeResult> ExplainAnalyze(std::string_view sparql) const;

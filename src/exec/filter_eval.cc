@@ -156,7 +156,8 @@ Result<SelectShape> PrepareSelectShape(const ParsedQuery& query,
   return shape;
 }
 
-Status ApplyModifiers(const ParsedQuery& query, const rdf::TermDictionary& dict,
+Status ApplyModifiers(const ParsedQuery& query, std::optional<uint64_t> limit,
+                      const rdf::TermDictionary& dict,
                       std::vector<std::vector<TermId>>* rows,
                       std::vector<TermId>* order_keys) {
   // DISTINCT before ORDER BY (projection already applied).
@@ -205,8 +206,8 @@ Status ApplyModifiers(const ParsedQuery& query, const rdf::TermDictionary& dict,
                   rows->begin() + static_cast<long>(query.offset));
     }
   }
-  if (query.limit && rows->size() > *query.limit) {
-    rows->resize(*query.limit);
+  if (limit && rows->size() > *limit) {
+    rows->resize(*limit);
   }
   return Status::OK();
 }

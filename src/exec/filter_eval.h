@@ -1,8 +1,6 @@
-// Shared SELECT-query machinery: filter encoding/evaluation, projection
-// and ORDER BY resolution, and the post-BGP solution modifiers (DISTINCT /
-// ORDER BY / OFFSET / LIMIT). Factored out of the depth-first SELECT
-// executor so the materializing physical executor (src/phys/) evaluates
-// filters and modifiers with byte-for-byte identical semantics.
+// SELECT-query machinery of the executor (src/phys/phys_executor.h):
+// filter encoding/evaluation, projection and ORDER BY resolution, and the
+// post-BGP solution modifiers (DISTINCT / ORDER BY / OFFSET / LIMIT).
 #pragma once
 
 #include <optional>
@@ -67,10 +65,10 @@ Result<SelectShape> PrepareSelectShape(const sparql::ParsedQuery& query,
                                        const sparql::EncodedBgp& bgp);
 
 /// Applies DISTINCT, ORDER BY (stable, via `order_keys`, parallel to
-/// `rows`), OFFSET and LIMIT in place — the exact modifier pipeline of the
-/// depth-first SELECT executor. `order_keys` may be empty when the query
-/// has no ORDER BY.
+/// `rows`), OFFSET and `limit` in place. `limit` is the query's LIMIT, or 1
+/// for an ASK. `order_keys` may be empty when the query has no ORDER BY.
 Status ApplyModifiers(const sparql::ParsedQuery& query,
+                      std::optional<uint64_t> limit,
                       const rdf::TermDictionary& dict,
                       std::vector<std::vector<rdf::TermId>>* rows,
                       std::vector<rdf::TermId>* order_keys);

@@ -5,7 +5,7 @@
 // lifetime of the query; completion moves a frozen QueryRecord into a
 // bounded ring and per-template aggregates. The server's /debug/queries and
 // the shell's .running render snapshots; Cancel(id) flips the record's
-// tracker flag, which the executors observe on their next work tick.
+// tracker flag, which the executor observes on its next work tick.
 #pragma once
 
 #include <atomic>

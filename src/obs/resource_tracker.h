@@ -2,8 +2,8 @@
 // introspection plane (DESIGN.md §12). A ResourceTracker is a small bag of
 // atomics one query execution publishes into — index probes, rows scanned /
 // produced / materialized, and bytes held in materialization state (via
-// MemoryAccount + CountingAllocator on the physical executor's buffers).
-// Executors keep their counters in locals and publish on the existing
+// MemoryAccount + CountingAllocator on the executor's binding tables).
+// The executor keeps its counters in locals and publish on the existing
 // amortized work tick (every ~1024 probes/scans), so the accounting costs
 // one branch per tick, not per row. The same tick doubles as the
 // cooperative cancellation point: RequestCancel() from any thread stops a
@@ -25,8 +25,8 @@ struct ResourceSnapshot {
   /// Intermediate bindings produced across all join steps (the true-cost
   /// work measure; equals the sum of per-step true cardinalities).
   uint64_t rows_produced = 0;
-  /// Rows appended to the physical executor's materialization buffers
-  /// (0 for streaming executions, which never materialize).
+  /// Rows appended to binding tables in front of merge and hash steps
+  /// (0 for all-INLJ plans, which never materialize).
   uint64_t rows_materialized = 0;
   /// Monotonic total of bytes charged for join state (materialization
   /// buffers, match-pair staging, sort indexes, hash-table estimates).

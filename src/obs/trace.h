@@ -31,7 +31,7 @@ struct PlannerTrace {
   uint64_t cartesian_steps = 0;
 };
 
-/// Executor work counters, attached via exec::ExecOptions::trace. Per-step
+/// Executor work counters, attached via phys::ExecOptions::trace. Per-step
 /// vectors are indexed by plan step (position in the join order).
 struct ExecTrace {
   std::vector<uint64_t> step_probes;        // index lookups per step

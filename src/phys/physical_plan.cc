@@ -40,13 +40,6 @@ JoinMode ResolveJoinMode(JoinMode mode) {
   return mode == JoinMode::kEnv ? JoinModeFromEnv() : mode;
 }
 
-bool PhysicalPlan::Materializes() const {
-  for (const PhysicalStep& s : steps) {
-    if (s.op == OpKind::kMerge || s.op == OpKind::kHash) return true;
-  }
-  return false;
-}
-
 std::string PhysicalPlan::Summary() const {
   std::string out;
   for (const PhysicalStep& s : steps) {
@@ -87,6 +80,17 @@ void ForceInlj(PhysicalPlan* plan, const std::string& why) {
       s.rationale = why;
     }
   }
+}
+
+PhysicalPlan InljPlan(const std::vector<uint32_t>& order) {
+  PhysicalPlan plan;
+  plan.mode = JoinMode::kInlj;
+  plan.steps.resize(order.size());
+  for (size_t k = 0; k < order.size(); ++k) {
+    plan.steps[k].pattern = order[k];
+    plan.steps[k].op = k == 0 ? OpKind::kScan : OpKind::kInlj;
+  }
+  return plan;
 }
 
 }  // namespace shapestats::phys

@@ -4,9 +4,9 @@
 // which join *algorithm* executes it — index nested-loop, merge over
 // sorted index runs, or hash with the build on the estimated-smaller side
 // — and records the estimates and rationale behind each choice. The
-// physical executor (phys_executor.h) runs the annotated plan and is
-// required to produce byte-identical results to the depth-first INLJ
-// executor for every operator assignment (DESIGN.md §9).
+// executor (phys_executor.h) runs the annotated plan and is required to
+// produce byte-identical results for every operator assignment of the
+// same join order (DESIGN.md §9).
 #pragma once
 
 #include <cstdint>
@@ -79,11 +79,6 @@ struct PhysicalPlan {
   /// The resolved mode that produced the plan (never kEnv).
   JoinMode mode = JoinMode::kAuto;
 
-  /// True when any step materializes intermediates (merge or hash) — the
-  /// engine's signal to route execution through the physical executor
-  /// instead of the streaming depth-first one.
-  bool Materializes() const;
-
   /// Compact one-line rendering, e.g. "scan, hash(build=right), merge".
   std::string Summary() const;
 };
@@ -100,8 +95,13 @@ struct PhysicalPlan {
 bool MergeRunAvailable(const sparql::EncodedPattern& tp, int join_pos);
 
 /// Downgrades every merge/hash step to INLJ in place, stamping `why` as
-/// the rationale — used when the engine must keep the streaming executor
-/// (ASK probes and LIMIT queries profit from early termination).
+/// the rationale. The engine applies it to ASK and LIMIT queries: an
+/// all-INLJ plan streams, so early termination skips the work a pipeline
+/// breaker would do up front.
 void ForceInlj(PhysicalPlan* plan, const std::string& why);
+
+/// The all-INLJ plan for a join order (scan, then inlj steps), without
+/// estimates — for callers that hold only an order.
+PhysicalPlan InljPlan(const std::vector<uint32_t>& order);
 
 }  // namespace shapestats::phys

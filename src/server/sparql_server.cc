@@ -73,7 +73,7 @@ std::string ResultToJson(const engine::QueryResult& result,
     }
     return out + "}\n";
   }
-  const exec::ResultTable& table = result.table;
+  const phys::ResultTable& table = result.table;
   std::string out = "{\"head\":{\"vars\":[";
   for (size_t i = 0; i < table.var_names.size(); ++i) {
     if (i) out += ",";

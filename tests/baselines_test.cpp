@@ -7,8 +7,8 @@
 #include "baselines/charsets/char_sets.h"
 #include "baselines/heuristic/heuristic_planners.h"
 #include "baselines/sumrdf/summary.h"
-#include "exec/executor.h"
 #include "opt/join_order.h"
+#include "phys/phys_executor.h"
 #include "rdf/turtle.h"
 #include "sparql/parser.h"
 #include "stats/global_stats.h"
@@ -73,7 +73,7 @@ TEST_F(BaselineFixture, CharSetsExactStarCounts) {
                                 rdf::kInvalidTermId);
   EXPECT_DOUBLE_EQ(est, 4.0);
   auto bgp = Encode("?x ex:takes ?c . ?x ex:advisor ?p");
-  auto truth = exec::ExecuteBgp(graph_, bgp);
+  auto truth = phys::ExecuteBgp(graph_, bgp);
   ASSERT_TRUE(truth.ok());
   EXPECT_DOUBLE_EQ(est, static_cast<double>(truth->num_results));
 }
@@ -114,7 +114,7 @@ TEST_F(BaselineFixture, CharSetsResultEstimateStarQuery) {
   ASSERT_TRUE(cs.ok());
   auto bgp = Encode("?x a ex:Student . ?x ex:takes ?c . ?x ex:advisor ?p");
   double est = cs->EstimateResultCardinality(bgp);
-  auto truth = exec::ExecuteBgp(graph_, bgp);
+  auto truth = phys::ExecuteBgp(graph_, bgp);
   ASSERT_TRUE(truth.ok());
   // Star estimates should be near-exact on stars (type is just another
   // bound-object predicate here).
@@ -127,7 +127,7 @@ TEST_F(BaselineFixture, CharSetsPlansExecuteCorrectly) {
   auto bgp = Encode("?x ex:advisor ?p . ?p ex:teaches ?c . ?x ex:takes ?c");
   auto plan = opt::PlanJoinOrder(bgp, *cs);
   EXPECT_EQ(plan.provider, "CS");
-  auto r = exec::ExecuteBgp(graph_, bgp, plan.order);
+  auto r = phys::ExecuteBgp(graph_, bgp, plan.order);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->num_results, 3u);
 }
@@ -173,7 +173,7 @@ TEST_F(BaselineFixture, SumRdfJoinEstimatePositive) {
   auto est = s->Estimate(bgp);
   ASSERT_TRUE(est.has_value());
   EXPECT_GT(*est, 0.0);
-  auto truth = exec::ExecuteBgp(graph_, bgp);
+  auto truth = phys::ExecuteBgp(graph_, bgp);
   ASSERT_TRUE(truth.ok());
   // Within a small factor of the truth (3).
   EXPECT_NEAR(*est, static_cast<double>(truth->num_results), 3.0);
@@ -205,7 +205,7 @@ TEST_F(BaselineFixture, SumRdfPlansExecuteCorrectly) {
   auto bgp = Encode("?x ex:advisor ?p . ?p ex:teaches ?c . ?x ex:takes ?c");
   auto plan = opt::PlanJoinOrder(bgp, *s);
   EXPECT_EQ(plan.provider, "SumRDF");
-  auto r = exec::ExecuteBgp(graph_, bgp, plan.order);
+  auto r = phys::ExecuteBgp(graph_, bgp, plan.order);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->num_results, 3u);
 }
@@ -235,7 +235,7 @@ TEST_F(BaselineFixture, JenaPlanIsPermutationAndConnected) {
   std::vector<uint32_t> sorted = plan.order;
   std::sort(sorted.begin(), sorted.end());
   for (uint32_t i = 0; i < 4; ++i) EXPECT_EQ(sorted[i], i);
-  auto r = exec::ExecuteBgp(graph_, bgp, plan.order);
+  auto r = phys::ExecuteBgp(graph_, bgp, plan.order);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->num_results, 3u);
 }
@@ -265,7 +265,7 @@ TEST_F(BaselineFixture, GraphDbPlansExecuteCorrectly) {
   GraphDbLikeProvider gdb(gs_, graph_.dict());
   auto bgp = Encode("?x ex:advisor ?p . ?p ex:teaches ?c . ?x ex:takes ?c");
   auto plan = opt::PlanJoinOrder(bgp, gdb);
-  auto r = exec::ExecuteBgp(graph_, bgp, plan.order);
+  auto r = phys::ExecuteBgp(graph_, bgp, plan.order);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->num_results, 3u);
 }

@@ -283,7 +283,7 @@ TEST(CorrectedProviderTest, ScalesCardAndCapsDistincts) {
 
 // --- engine integration ---
 
-std::string TableDigest(const rdf::Graph& g, const exec::ResultTable& t) {
+std::string TableDigest(const rdf::Graph& g, const phys::ResultTable& t) {
   std::string out;
   for (const std::string& v : t.var_names) out += v + "|";
   out += "\n";

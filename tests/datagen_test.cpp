@@ -7,8 +7,8 @@
 #include "datagen/lubm.h"
 #include "datagen/watdiv.h"
 #include "datagen/yago.h"
-#include "exec/executor.h"
 #include "opt/join_order.h"
+#include "phys/phys_executor.h"
 #include "rdf/vocab.h"
 #include "sparql/parser.h"
 #include "sparql/query_graph.h"
@@ -20,7 +20,7 @@ namespace {
 
 // Executes a query with a GS-planned join order (textual order can blow up
 // intermediate results on purpose-built stress queries).
-Result<exec::ExecResult> RunPlanned(const rdf::Graph& g,
+Result<phys::ExecResult> RunPlanned(const rdf::Graph& g,
                                     const stats::GlobalStats& gs,
                                     const std::string& text) {
   auto parsed = sparql::ParseQuery(text);
@@ -29,9 +29,9 @@ Result<exec::ExecResult> RunPlanned(const rdf::Graph& g,
   card::CardinalityEstimator est(gs, nullptr, g.dict(),
                                  card::StatsMode::kGlobal);
   opt::Plan plan = opt::PlanJoinOrder(bgp, est);
-  exec::ExecOptions opts;
+  phys::ExecOptions opts;
   opts.max_intermediate_rows = 50'000'000;
-  return exec::ExecuteBgp(g, bgp, plan.order, opts);
+  return phys::ExecuteBgp(g, bgp, plan.order, opts);
 }
 
 class LubmFixture : public ::testing::Test {

@@ -9,8 +9,8 @@
 #include "baselines/sampling/wander_join.h"
 #include "datagen/lubm.h"
 #include "engine/query_engine.h"
-#include "exec/executor.h"
 #include "opt/join_order.h"
+#include "phys/phys_executor.h"
 #include "rdf/snapshot.h"
 #include "rdf/turtle.h"
 #include "sparql/parser.h"
@@ -64,7 +64,7 @@ TEST_F(ChainFixture, ChainEstimateIsExactOnTwoPatternChains) {
   // (?x ex:takes ?c)(?c ex:taughtBy ?p): every takes-edge continues to p1,
   // so the true count is 4.
   auto bgp = Encode("?x ex:takes ?c . ?c ex:taughtBy ?p");
-  auto truth = exec::ExecuteBgp(graph_, bgp);
+  auto truth = phys::ExecuteBgp(graph_, bgp);
   ASSERT_TRUE(truth.ok());
   double est = pairs_->EstimateResultCardinality(bgp);
   EXPECT_DOUBLE_EQ(est, static_cast<double>(truth->num_results));
@@ -79,7 +79,7 @@ TEST_F(ChainFixture, PairJoinEstimateBeatsIndependence) {
   auto est = pairs_->EstimateAll(bgp);
   double pair_join =
       pairs_->EstimateJoin(bgp.patterns[0], est[0], bgp.patterns[1], est[1]);
-  auto truth = exec::ExecuteBgp(graph_, bgp);
+  auto truth = phys::ExecuteBgp(graph_, bgp);
   EXPECT_DOUBLE_EQ(pair_join, static_cast<double>(truth->num_results));
   // Reversed operand order hits the mirrored branch.
   double mirrored =
@@ -100,7 +100,7 @@ TEST_F(ChainFixture, NonChainJoinsDelegateToBase) {
 TEST_F(ChainFixture, PairPlansExecuteCorrectly) {
   auto bgp = Encode("?x a ex:Student . ?x ex:takes ?c . ?c ex:taughtBy ?p");
   auto plan = opt::PlanJoinOrder(bgp, *pairs_);
-  auto r = exec::ExecuteBgp(graph_, bgp, plan.order);
+  auto r = phys::ExecuteBgp(graph_, bgp, plan.order);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->num_results, 4u);
 }
@@ -133,7 +133,7 @@ TEST_F(ChainFixture, SamplingPlansExecuteCorrectly) {
   baselines::SamplingEstimator sampler(graph_);
   auto bgp = Encode("?x a ex:Student . ?x ex:takes ?c . ?c ex:taughtBy ?p");
   auto plan = opt::PlanJoinOrder(bgp, sampler);
-  auto r = exec::ExecuteBgp(graph_, bgp, plan.order);
+  auto r = phys::ExecuteBgp(graph_, bgp, plan.order);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->num_results, 4u);
 }

@@ -11,8 +11,8 @@
 #include "card/estimator.h"
 #include "datagen/lubm.h"
 #include "datagen/watdiv.h"
-#include "exec/executor.h"
 #include "opt/join_order.h"
+#include "phys/phys_executor.h"
 #include "rdf/ntriples.h"
 #include "rdf/turtle.h"
 #include "shacl/generator.h"
@@ -119,7 +119,7 @@ TEST_F(PipelineFixture, AllPlannersAgreeOnResultCardinality) {
 
   for (const auto& q : workload::LubmQueries()) {
     auto bgp = Encode(q.text);
-    exec::ExecOptions opts;
+    phys::ExecOptions opts;
     opts.max_intermediate_rows = 50'000'000;
     std::vector<uint64_t> counts;
     for (const card::PlannerStatsProvider* p :
@@ -129,13 +129,13 @@ TEST_F(PipelineFixture, AllPlannersAgreeOnResultCardinality) {
           static_cast<const card::PlannerStatsProvider*>(&cs.value()),
           static_cast<const card::PlannerStatsProvider*>(&sumrdf.value())}) {
       auto plan = opt::PlanJoinOrder(bgp, *p);
-      auto r = exec::ExecuteBgp(*graph_, bgp, plan.order, opts);
+      auto r = phys::ExecuteBgp(*graph_, bgp, plan.order, opts);
       ASSERT_TRUE(r.ok()) << q.label;
       ASSERT_FALSE(r->timed_out) << q.label << " with " << p->name();
       counts.push_back(r->num_results);
     }
     auto jena = baselines::PlanJenaLike(bgp, gs_->rdf_type_id);
-    auto r = exec::ExecuteBgp(*graph_, bgp, jena.order, opts);
+    auto r = phys::ExecuteBgp(*graph_, bgp, jena.order, opts);
     ASSERT_TRUE(r.ok());
     counts.push_back(r->num_results);
     for (uint64_t c : counts) EXPECT_EQ(c, counts[0]) << q.label;
@@ -154,8 +154,8 @@ TEST_F(PipelineFixture, SsNeverWorseThanGsOnTypeAnchoredStars) {
     auto bgp = Encode(q.text);
     auto gp = opt::PlanJoinOrder(bgp, gs_est);
     auto sp = opt::PlanJoinOrder(bgp, ss_est);
-    auto gr = exec::ExecuteBgp(*graph_, bgp, gp.order);
-    auto sr = exec::ExecuteBgp(*graph_, bgp, sp.order);
+    auto gr = phys::ExecuteBgp(*graph_, bgp, gp.order);
+    auto sr = phys::ExecuteBgp(*graph_, bgp, sp.order);
     EXPECT_LE(sr->TrueCost(), gr->TrueCost() * 1.05 + 10) << q.label;
   }
 }
@@ -174,10 +174,10 @@ TEST_F(PipelineFixture, ShapeEstimatesAreMoreAccurateOnAnchoredPatterns) {
   std::vector<double> gs_errors, ss_errors;
   for (const auto& q : workload::LubmQueries()) {
     auto bgp = Encode(q.text);
-    exec::ExecOptions opts;
+    phys::ExecOptions opts;
     opts.max_intermediate_rows = 50'000'000;
     auto plan = opt::PlanJoinOrder(bgp, gs_est);
-    auto r = exec::ExecuteBgp(*graph_, bgp, plan.order, opts);
+    auto r = phys::ExecuteBgp(*graph_, bgp, plan.order, opts);
     gs_errors.push_back(qerr(gs_est.EstimateResultCardinality(bgp), r->num_results));
     ss_errors.push_back(qerr(ss_est.EstimateResultCardinality(bgp), r->num_results));
   }
@@ -225,9 +225,9 @@ TEST(WatDivPipelineTest, EndToEnd) {
     ASSERT_TRUE(parsed.ok()) << q.label;
     auto bgp = sparql::EncodeBgp(*parsed, g.dict());
     auto plan = opt::PlanJoinOrder(bgp, ss);
-    exec::ExecOptions eopts;
+    phys::ExecOptions eopts;
     eopts.max_intermediate_rows = 50'000'000;
-    auto r = exec::ExecuteBgp(g, bgp, plan.order, eopts);
+    auto r = phys::ExecuteBgp(g, bgp, plan.order, eopts);
     ASSERT_TRUE(r.ok()) << q.label;
     EXPECT_FALSE(r->timed_out) << q.label;
   }

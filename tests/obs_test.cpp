@@ -13,12 +13,12 @@
 
 #include "datagen/lubm.h"
 #include "engine/query_engine.h"
-#include "exec/executor.h"
 #include "obs/accuracy_ledger.h"
 #include "obs/chrome_trace.h"
 #include "obs/event_log.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "phys/phys_executor.h"
 #include "rdf/turtle.h"
 #include "sparql/parser.h"
 #include "util/thread_pool.h"
@@ -291,7 +291,7 @@ TEST(ExplainAnalyze, StepGroundTruthMatchesExecutor) {
   auto bgp = sparql::EncodeBgp(*query, eng.graph().dict());
   std::vector<uint32_t> order;
   for (const obs::StepTrace& s : trace.steps) order.push_back(s.pattern);
-  auto truth = exec::ExecuteBgp(eng.graph(), bgp, order);
+  auto truth = phys::ExecuteBgp(eng.graph(), bgp, order);
   ASSERT_TRUE(truth.ok());
 
   uint64_t total_true = 0;
@@ -369,7 +369,7 @@ TEST(ExplainAnalyze, LubmExampleQueryReportsGroundTruth) {
   auto bgp = sparql::EncodeBgp(*query, eng->graph().dict());
   std::vector<uint32_t> order;
   for (const obs::StepTrace& s : trace.steps) order.push_back(s.pattern);
-  auto truth = exec::ExecuteBgp(eng->graph(), bgp, order);
+  auto truth = phys::ExecuteBgp(eng->graph(), bgp, order);
   ASSERT_TRUE(truth.ok());
   for (size_t k = 0; k < trace.steps.size(); ++k) {
     EXPECT_EQ(trace.steps[k].true_card, truth->step_cards[k]) << "step " << k;
@@ -393,9 +393,9 @@ TEST(ExecTrace, PerStepProbesAndScansSumToTotals) {
   auto bgp = sparql::EncodeBgp(*query, graph.dict());
 
   obs::ExecTrace trace;
-  exec::ExecOptions options;
+  phys::ExecOptions options;
   options.trace = &trace;
-  auto r = exec::ExecuteBgp(graph, bgp, options);
+  auto r = phys::ExecuteBgp(graph, bgp, options);
   ASSERT_TRUE(r.ok());
 
   ASSERT_EQ(trace.step_probes.size(), 3u);
@@ -430,9 +430,9 @@ TEST(ExecTimeout, FiresOnProbeWorkWithoutProducedRows) {
   ASSERT_TRUE(query.ok());
   auto bgp = sparql::EncodeBgp(*query, graph.dict());
 
-  exec::ExecOptions options;
+  phys::ExecOptions options;
   options.timeout_ms = 1e-6;  // expires immediately; granularity is the test
-  auto r = exec::ExecuteBgp(graph, bgp, options);
+  auto r = phys::ExecuteBgp(graph, bgp, options);
   ASSERT_TRUE(r.ok());
   EXPECT_TRUE(r->timed_out);
   EXPECT_EQ(r->num_results, 0u);

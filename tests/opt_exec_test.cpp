@@ -1,4 +1,4 @@
-// Tests for src/opt (Algorithm 1) and src/exec (BGP executor), including a
+// Tests for src/opt (Algorithm 1) and the executor's BGP count, including a
 // property sweep checking that every plan order produces the same result
 // cardinality.
 #include <gtest/gtest.h>
@@ -6,8 +6,8 @@
 #include <numeric>
 
 #include "card/estimator.h"
-#include "exec/executor.h"
 #include "opt/join_order.h"
+#include "phys/phys_executor.h"
 #include "rdf/turtle.h"
 #include "shacl/generator.h"
 #include "sparql/parser.h"
@@ -96,7 +96,7 @@ TEST_F(PlanExecFixture, CartesianFlaggedForDisconnectedBgp) {
 
 TEST_F(PlanExecFixture, ExecutorCountsMatches) {
   auto bgp = Encode("?x ex:takes ?c");
-  auto r = exec::ExecuteBgp(graph_, bgp);
+  auto r = phys::ExecuteBgp(graph_, bgp);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->num_results, 4u);
   ASSERT_EQ(r->step_cards.size(), 1u);
@@ -106,7 +106,7 @@ TEST_F(PlanExecFixture, ExecutorCountsMatches) {
 TEST_F(PlanExecFixture, ExecutorJoins) {
   // Students of p1: s1, s2 -> takes: s1 x2, s2 x1 = 3 rows.
   auto bgp = Encode("?x ex:advisor ex:p1 . ?x ex:takes ?c");
-  auto r = exec::ExecuteBgp(graph_, bgp);
+  auto r = phys::ExecuteBgp(graph_, bgp);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->num_results, 3u);
   EXPECT_EQ(r->step_cards[0], 2u);
@@ -117,7 +117,7 @@ TEST_F(PlanExecFixture, TriangleQuery) {
   // Students taking a course taught by their advisor: s1-c1-p1, s2-c1-p1,
   // s3-c2-p2.
   auto bgp = Encode("?x ex:advisor ?p . ?p ex:teaches ?c . ?x ex:takes ?c");
-  auto r = exec::ExecuteBgp(graph_, bgp);
+  auto r = phys::ExecuteBgp(graph_, bgp);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->num_results, 3u);
 }
@@ -125,54 +125,60 @@ TEST_F(PlanExecFixture, TriangleQuery) {
 TEST_F(PlanExecFixture, RepeatedVariableInPattern) {
   // No triple has subject == object here.
   auto bgp = Encode("?x ex:takes ?x");
-  auto r = exec::ExecuteBgp(graph_, bgp);
+  auto r = phys::ExecuteBgp(graph_, bgp);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->num_results, 0u);
 }
 
 TEST_F(PlanExecFixture, MissingConstantYieldsEmpty) {
   auto bgp = Encode("?x ex:ghost ?c . ?x ex:takes ?c");
-  auto r = exec::ExecuteBgp(graph_, bgp);
+  auto r = phys::ExecuteBgp(graph_, bgp);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->num_results, 0u);
 }
 
 TEST_F(PlanExecFixture, CartesianProductExecution) {
   auto bgp = Encode("?x a ex:Prof . ?c a ex:Course");
-  auto r = exec::ExecuteBgp(graph_, bgp);
+  auto r = phys::ExecuteBgp(graph_, bgp);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->num_results, 4u);  // 2 x 2
 }
 
 TEST_F(PlanExecFixture, LimitStopsEarly) {
-  exec::ExecOptions opts;
-  opts.limit = 2;
-  auto bgp = Encode("?x ex:takes ?c");
-  auto r = exec::ExecuteBgp(graph_, bgp, opts);
+  auto q = sparql::ParseQuery(
+      "PREFIX ex: <http://ex/>\nSELECT * WHERE { ?x ex:takes ?c } LIMIT 2");
+  ASSERT_TRUE(q.ok());
+  auto bgp = sparql::EncodeBgp(*q, graph_.dict());
+  obs::ExecTrace trace;
+  phys::ExecOptions opts;
+  opts.trace = &trace;
+  auto r = phys::ExecuteQuery(graph_, *q, bgp, phys::InljPlan({0}), opts);
   ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r->num_results, 2u);
+  EXPECT_EQ(r->rows.size(), 2u);
+  // The scan stopped at the second match instead of reading all four.
+  EXPECT_EQ(trace.step_rows_scanned[0], 2u);
 }
 
 TEST_F(PlanExecFixture, RowBudgetTimesOut) {
-  exec::ExecOptions opts;
+  phys::ExecOptions opts;
   opts.max_intermediate_rows = 2;
   auto bgp = Encode("?s ?p ?o . ?s2 ?p2 ?o2");
-  auto r = exec::ExecuteBgp(graph_, bgp, opts);
+  auto r = phys::ExecuteBgp(graph_, bgp, opts);
   ASSERT_TRUE(r.ok());
   EXPECT_TRUE(r->timed_out);
 }
 
 TEST_F(PlanExecFixture, RejectsBadOrder) {
   auto bgp = Encode("?x ex:takes ?c . ?x ex:advisor ?p");
-  EXPECT_FALSE(exec::ExecuteBgp(graph_, bgp, std::vector<uint32_t>{0}).ok());
-  EXPECT_FALSE(exec::ExecuteBgp(graph_, bgp, std::vector<uint32_t>{0, 0}).ok());
-  EXPECT_FALSE(exec::ExecuteBgp(graph_, bgp, std::vector<uint32_t>{0, 5}).ok());
+  EXPECT_FALSE(phys::ExecuteBgp(graph_, bgp, std::vector<uint32_t>{0}).ok());
+  EXPECT_FALSE(phys::ExecuteBgp(graph_, bgp, std::vector<uint32_t>{0, 0}).ok());
+  EXPECT_FALSE(phys::ExecuteBgp(graph_, bgp, std::vector<uint32_t>{0, 5}).ok());
 }
 
 TEST_F(PlanExecFixture, RejectsUnfinalizedGraph) {
   rdf::Graph g;
   auto bgp = Encode("?x ex:takes ?c");
-  EXPECT_FALSE(exec::ExecuteBgp(g, bgp).ok());
+  EXPECT_FALSE(phys::ExecuteBgp(g, bgp).ok());
 }
 
 // Property test: result cardinality is order-invariant; only intermediate
@@ -185,12 +191,12 @@ TEST_P(OrderInvarianceTest, AllOrdersAgree) {
   const size_t n = bgp.patterns.size();
   std::vector<uint32_t> order(n);
   std::iota(order.begin(), order.end(), 0);
-  auto baseline = exec::ExecuteBgp(graph_, bgp, order);
+  auto baseline = phys::ExecuteBgp(graph_, bgp, order);
   ASSERT_TRUE(baseline.ok());
   Rng rng(123);
   for (int trial = 0; trial < 10; ++trial) {
     rng.Shuffle(order);
-    auto r = exec::ExecuteBgp(graph_, bgp, order);
+    auto r = phys::ExecuteBgp(graph_, bgp, order);
     ASSERT_TRUE(r.ok());
     EXPECT_EQ(r->num_results, baseline->num_results);
     EXPECT_EQ(r->step_cards.back(), baseline->num_results);
@@ -218,8 +224,8 @@ TEST_F(PlanExecFixture, GsAndSsPlansAgreeOnResults) {
       "?x a ex:Student . ?x ex:takes ?c . ?p ex:teaches ?c . ?x ex:advisor ?p");
   auto gs_plan = opt::PlanJoinOrder(bgp, gs_est);
   auto ss_plan = opt::PlanJoinOrder(bgp, ss_est);
-  auto gr = exec::ExecuteBgp(graph_, bgp, gs_plan.order);
-  auto sr = exec::ExecuteBgp(graph_, bgp, ss_plan.order);
+  auto gr = phys::ExecuteBgp(graph_, bgp, gs_plan.order);
+  auto sr = phys::ExecuteBgp(graph_, bgp, ss_plan.order);
   ASSERT_TRUE(gr.ok());
   ASSERT_TRUE(sr.ok());
   EXPECT_EQ(gr->num_results, sr->num_results);
@@ -241,7 +247,7 @@ TEST_F(PlanExecFixture, SsEqualsGsWithoutTypePatterns) {
 
 TEST_F(PlanExecFixture, TrueCostSumsStepCards) {
   auto bgp = Encode("?x ex:advisor ex:p1 . ?x ex:takes ?c");
-  auto r = exec::ExecuteBgp(graph_, bgp);
+  auto r = phys::ExecuteBgp(graph_, bgp);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->TrueCost(), 2u + 3u);
 }

@@ -6,25 +6,28 @@
 // for the materializing operators.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <limits>
+#include <map>
 #include <string>
 #include <vector>
 
 #include "analysis/plan_verify.h"
 #include "card/estimator.h"
 #include "datagen/lubm.h"
+#include "datagen/yago.h"
 #include "engine/query_engine.h"
-#include "exec/executor.h"
-#include "exec/select_executor.h"
 #include "opt/join_order.h"
 #include "phys/phys_executor.h"
 #include "phys/physical_plan.h"
 #include "phys/planner.h"
 #include "rdf/turtle.h"
+#include "reference_eval.h"
 #include "shacl/generator.h"
 #include "sparql/parser.h"
 #include "stats/annotator.h"
+#include "util/random.h"
 #include "util/thread_pool.h"
 #include "workload/queries.h"
 
@@ -33,6 +36,17 @@ namespace {
 
 using phys::JoinMode;
 using phys::OpKind;
+
+constexpr JoinMode kModes[] = {JoinMode::kInlj, JoinMode::kAuto,
+                               JoinMode::kMerge, JoinMode::kHash};
+
+bool HasMergeOrHash(const phys::PhysicalPlan& pplan) {
+  for (const phys::PhysicalStep& st : pplan.steps) {
+    if (st.op == OpKind::kMerge || st.op == OpKind::kHash) return true;
+  }
+  return false;
+}
+
 
 // ---------------------------------------------------------------------------
 // Plumbing: names, env resolution, merge-run availability.
@@ -161,7 +175,7 @@ TEST_F(PhysFixture, ForcedModesAnnotateEveryJoinStep) {
       phys::PlanPhysical(bgp, plan, graph_, Forced(JoinMode::kInlj));
   ASSERT_EQ(inlj.steps.size(), plan.order.size());
   EXPECT_EQ(inlj.steps[0].op, OpKind::kScan);
-  EXPECT_FALSE(inlj.Materializes());
+  EXPECT_FALSE(HasMergeOrHash(inlj));
   for (size_t k = 1; k < inlj.steps.size(); ++k) {
     EXPECT_EQ(inlj.steps[k].op, OpKind::kInlj) << "step " << k;
     EXPECT_EQ(inlj.steps[k].rationale, "forced by join mode inlj");
@@ -183,7 +197,7 @@ TEST_F(PhysFixture, ForcedModesAnnotateEveryJoinStep) {
     }
   }
   EXPECT_GT(merges, 0u);
-  EXPECT_TRUE(merge.Materializes());
+  EXPECT_TRUE(HasMergeOrHash(merge));
 
   phys::PhysicalPlan hash =
       phys::PlanPhysical(bgp, plan, graph_, Forced(JoinMode::kHash));
@@ -192,7 +206,7 @@ TEST_F(PhysFixture, ForcedModesAnnotateEveryJoinStep) {
     ASSERT_EQ(st.op, OpKind::kHash) << "step " << k;
     EXPECT_EQ(st.build_right, st.est_right <= st.est_left) << "step " << k;
   }
-  EXPECT_TRUE(hash.Materializes());
+  EXPECT_TRUE(HasMergeOrHash(hash));
 }
 
 TEST_F(PhysFixture, AutoModeTinyLeftPrefersInlj) {
@@ -246,9 +260,9 @@ TEST_F(PhysFixture, ForceInljDowngradesMaterializingSteps) {
   opt::Plan plan = PlanFor(bgp);
   phys::PhysicalPlan pplan =
       phys::PlanPhysical(bgp, plan, graph_, Forced(JoinMode::kHash));
-  ASSERT_TRUE(pplan.Materializes());
+  ASSERT_TRUE(HasMergeOrHash(pplan));
   phys::ForceInlj(&pplan, "pipelined: ASK/LIMIT early termination");
-  EXPECT_FALSE(pplan.Materializes());
+  EXPECT_FALSE(HasMergeOrHash(pplan));
   for (size_t k = 1; k < pplan.steps.size(); ++k) {
     EXPECT_EQ(pplan.steps[k].op, OpKind::kInlj);
     EXPECT_EQ(pplan.steps[k].rationale,
@@ -350,9 +364,10 @@ TEST_F(PhysFixture, VerifierFlagsMergeWithoutSortedRun) {
 }
 
 // ---------------------------------------------------------------------------
-// Executor: byte-identical results against the depth-first INLJ executor.
+// Executor: every mode returns the reference evaluator's bag, and exactly
+// the rows, order and per-step cardinalities of the all-INLJ plan.
 
-TEST_F(PhysFixture, BgpResultsMatchDepthFirstExecutorInEveryMode) {
+TEST_F(PhysFixture, BgpResultsMatchOracleInEveryMode) {
   const std::vector<std::string> bodies = {
       "?x a ex:Student . ?x ex:takes ?c . ?p ex:teaches ?c . ?x ex:advisor ?p",
       "?x ex:advisor ?p . ?p ex:teaches ?c",
@@ -363,18 +378,18 @@ TEST_F(PhysFixture, BgpResultsMatchDepthFirstExecutorInEveryMode) {
   for (const std::string& body : bodies) {
     SCOPED_TRACE(body);
     auto bgp = Encode(body);
+    const size_t truth = reference::Evaluate(graph_, query_).rows.size();
     opt::Plan plan = PlanFor(bgp);
-    auto expected = exec::ExecuteBgp(graph_, bgp, plan.order);
-    ASSERT_TRUE(expected.ok()) << expected.status().ToString();
-    for (JoinMode mode : {JoinMode::kAuto, JoinMode::kInlj, JoinMode::kMerge,
-                          JoinMode::kHash}) {
+    std::vector<uint64_t> inlj_cards;
+    for (JoinMode mode : kModes) {
       SCOPED_TRACE(phys::JoinModeName(mode));
       phys::PhysicalPlan pplan =
           phys::PlanPhysical(bgp, plan, graph_, Forced(mode));
-      auto got = phys::ExecuteBgpPhysical(graph_, bgp, pplan);
+      auto got = phys::ExecuteBgp(graph_, bgp, pplan);
       ASSERT_TRUE(got.ok()) << got.status().ToString();
-      EXPECT_EQ(got->num_results, expected->num_results);
-      EXPECT_EQ(got->step_cards, expected->step_cards);
+      EXPECT_EQ(got->num_results, truth);
+      if (mode == JoinMode::kInlj) inlj_cards = got->step_cards;
+      EXPECT_EQ(got->step_cards, inlj_cards);
     }
   }
 }
@@ -396,32 +411,52 @@ TEST_F(PhysFixture, SelectRowsAreByteIdenticalInEveryMode) {
     ASSERT_TRUE(q.ok()) << q.status().ToString();
     auto bgp = sparql::EncodeBgp(*q, graph_.dict());
     opt::Plan plan = PlanFor(bgp);
-    auto expected = exec::ExecuteSelect(graph_, *q, bgp, plan.order);
-    ASSERT_TRUE(expected.ok()) << expected.status().ToString();
-    for (JoinMode mode : {JoinMode::kAuto, JoinMode::kInlj, JoinMode::kMerge,
-                          JoinMode::kHash}) {
+    phys::ResultTable inlj;
+    for (JoinMode mode : kModes) {
       SCOPED_TRACE(phys::JoinModeName(mode));
       phys::PhysicalPlan pplan =
           phys::PlanPhysical(bgp, plan, graph_, Forced(mode));
-      auto got = phys::ExecuteSelectPhysical(graph_, *q, bgp, pplan);
+      auto got = phys::ExecuteQuery(graph_, *q, bgp, pplan);
       ASSERT_TRUE(got.ok()) << got.status().ToString();
-      EXPECT_EQ(got->var_names, expected->var_names);
-      EXPECT_EQ(got->rows, expected->rows);
-      EXPECT_EQ(got->bgp_matches, expected->bgp_matches);
+      if (mode == JoinMode::kInlj) inlj = *got;
+      EXPECT_EQ(got->var_names, inlj.var_names);
+      EXPECT_EQ(got->rows, inlj.rows);
+      EXPECT_EQ(got->bgp_matches, inlj.bgp_matches);
+    }
+    if (q->offset == 0 && !q->limit) {
+      reference::Bag truth = reference::Evaluate(graph_, *q);
+      EXPECT_EQ(inlj.var_names, truth.var_names);
+      EXPECT_EQ(reference::AsBag(inlj.rows), truth.rows);
     }
   }
 }
 
-TEST_F(PhysFixture, LimitPushdownIsRejected) {
-  auto bgp = Encode("?x ex:advisor ?p . ?p ex:teaches ?c");
-  opt::Plan plan = PlanFor(bgp);
-  phys::PhysicalPlan pplan =
-      phys::PlanPhysical(bgp, plan, graph_, Forced(JoinMode::kHash));
-  exec::ExecOptions opts;
-  opts.limit = 1;
-  auto r = phys::ExecuteSelectPhysical(graph_, query_, bgp, pplan, opts);
-  EXPECT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+TEST_F(PhysFixture, LimitAndAskOverHashPlanReturnUnlimitedPrefix) {
+  auto run = [&](const std::string& text) {
+    auto q = sparql::ParseQuery("PREFIX ex: <http://ex/>\n" + text);
+    EXPECT_TRUE(q.ok()) << q.status().ToString();
+    auto bgp = sparql::EncodeBgp(*q, graph_.dict());
+    phys::PhysicalPlan pplan =
+        phys::PlanPhysical(bgp, PlanFor(bgp), graph_, Forced(JoinMode::kHash));
+    EXPECT_TRUE(HasMergeOrHash(pplan));
+    auto r = phys::ExecuteQuery(graph_, *q, bgp, pplan);
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    return r.ok() ? r->rows : std::vector<std::vector<rdf::TermId>>{};
+  };
+  const std::string where =
+      " WHERE { ?x ex:takes ?c . ?p ex:teaches ?c . ?x ex:advisor ?p }";
+  const auto all = run("SELECT *" + where);
+  ASSERT_GE(all.size(), 3u);
+  EXPECT_EQ(run("SELECT *" + where + " LIMIT 2"),
+            std::vector<std::vector<rdf::TermId>>(all.begin(),
+                                                  all.begin() + 2));
+  EXPECT_EQ(run("SELECT *" + where + " LIMIT 2 OFFSET 1"),
+            std::vector<std::vector<rdf::TermId>>(all.begin() + 1,
+                                                  all.begin() + 3));
+  EXPECT_EQ(run("ASK" + where),
+            std::vector<std::vector<rdf::TermId>>(all.begin(),
+                                                  all.begin() + 1));
+  EXPECT_TRUE(run("ASK { ?x ex:takes ?c . ?c ex:teaches ?p }").empty());
 }
 
 TEST_F(PhysFixture, TimeoutBeforeFinalStepYieldsNoPartialRows) {
@@ -429,9 +464,9 @@ TEST_F(PhysFixture, TimeoutBeforeFinalStepYieldsNoPartialRows) {
   opt::Plan plan = PlanFor(bgp);
   phys::PhysicalPlan pplan =
       phys::PlanPhysical(bgp, plan, graph_, Forced(JoinMode::kHash));
-  exec::ExecOptions opts;
+  phys::ExecOptions opts;
   opts.max_intermediate_rows = 1;  // abort inside an early step
-  auto r = phys::ExecuteSelectPhysical(graph_, query_, bgp, pplan, opts);
+  auto r = phys::ExecuteQuery(graph_, query_, bgp, pplan, opts);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_TRUE(r->timed_out);
   // Rows of an aborted intermediate step are not solutions.
@@ -439,10 +474,171 @@ TEST_F(PhysFixture, TimeoutBeforeFinalStepYieldsNoPartialRows) {
 }
 
 // ---------------------------------------------------------------------------
+// Property sweep: random 1-3 pattern BGP / FILTER queries over small
+// generated graphs, in every join mode, against the reference evaluator.
+
+// A random query whose patterns are cut from the graph's own triples:
+// each term becomes a constant or a variable once, for all its
+// occurrences, so shared terms become join variables; later patterns
+// mostly extend the subject or object of an earlier one.
+std::string RandomQuery(const rdf::Graph& g, Rng& rng) {
+  const auto triples = g.triples();
+  auto pick = [&rng](auto span) { return span[rng.Uniform(0, span.size() - 1)]; };
+  std::vector<std::string> vars;
+  std::map<rdf::TermId, std::string> names;
+  auto term = [&](rdf::TermId id, double pvar) {
+    auto it = names.find(id);
+    if (it != names.end()) return it->second;
+    const rdf::Term& t = g.dict().term(id);
+    std::string name = t.ToNTriples();
+    if (t.is_blank() || rng.Chance(pvar)) {
+      name = "?v" + std::to_string(id);
+      vars.push_back(name);
+    }
+    return names[id] = name;
+  };
+  std::vector<rdf::Triple> picked;
+  std::string body;
+  const int n = static_cast<int>(rng.Uniform(1, 3));
+  for (int i = 0; i < n; ++i) {
+    rdf::Triple t = pick(triples);
+    if (!picked.empty() && rng.Chance(0.9)) {
+      const rdf::Triple& prev = pick(picked);
+      const rdf::TermId at = rng.Chance(0.5) ? prev.s : prev.o;
+      const auto next = rng.Chance(0.5)
+                            ? g.Match(at, std::nullopt, std::nullopt)
+                            : g.Match(std::nullopt, std::nullopt, at);
+      if (!next.empty()) t = pick(next);
+    }
+    picked.push_back(t);
+    // One statement per draw, so the query depends on the seed alone.
+    body += term(t.s, 0.8) + " ";
+    body += term(t.p, 0.15) + " ";
+    body += term(t.o, 0.6) + " . ";
+  }
+  if (!vars.empty() && rng.Chance(0.5)) {
+    const char* ops[] = {"=", "!=", "<", ">="};
+    const std::string lhs = pick(vars);
+    const char* op = ops[rng.Uniform(0, 3)];
+    const std::string rhs = rng.Chance(0.5)
+                                ? pick(vars)
+                                : g.dict().term(pick(triples).o).ToNTriples();
+    body += "FILTER(" + lhs + " " + op + " " + rhs + ") ";
+  }
+  std::string head = "SELECT *";
+  if (!vars.empty() && rng.Chance(0.25)) head = "SELECT DISTINCT " + pick(vars);
+  if (rng.Chance(0.2)) head = "SELECT (COUNT(*) AS ?n)";
+  return head + " WHERE { " + body + "}";
+}
+
+// A connected sample of a generated graph, small enough for the reference
+// evaluator's nested loops: breadth-first over links in both directions
+// from a random subject, taking the triples of each visited subject.
+rdf::Graph Sample(const rdf::Graph& full, Rng& rng, size_t limit) {
+  rdf::Graph g;
+  const rdf::TermDictionary& d = full.dict();
+  std::vector<rdf::TermId> queue = {
+      full.triples()[rng.Uniform(0, full.NumTriples() - 1)].s};
+  auto visit = [&queue](rdf::TermId id) {
+    if (std::find(queue.begin(), queue.end(), id) == queue.end()) {
+      queue.push_back(id);
+    }
+  };
+  size_t added = 0;
+  for (size_t i = 0; i < queue.size() && added < limit; ++i) {
+    const rdf::TermId node = queue[i];
+    for (const rdf::Triple& t : full.Match(node, std::nullopt, std::nullopt)) {
+      if (added++ == limit) break;
+      g.Add(d.term(t.s), d.term(t.p), d.term(t.o));
+      visit(t.o);
+    }
+    for (const rdf::Triple& t : full.Match(std::nullopt, std::nullopt, node)) {
+      visit(t.s);
+    }
+  }
+  g.Finalize();
+  return g;
+}
+
+// Odd seeds sample LUBM, even seeds YAGO (numeric literals for FILTERs).
+class PhysOracleSweep : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(PhysOracleSweep, RandomQueriesMatchOracleInEveryMode) {
+  Rng rng(GetParam());
+  rdf::Graph full;
+  if (GetParam() % 2 == 1) {
+    datagen::LubmOptions lubm;
+    lubm.universities = 1;
+    lubm.seed = GetParam();
+    full = datagen::GenerateLubm(lubm);
+  } else {
+    datagen::YagoOptions yago;
+    yago.num_entities = 2000;
+    yago.num_classes = 20;
+    yago.num_predicates = 15;
+    yago.seed = GetParam();
+    full = datagen::GenerateYago(yago);
+  }
+  const rdf::Graph graph = Sample(full, rng, 150);
+  const stats::GlobalStats gs = stats::GlobalStats::Compute(graph);
+  card::CardinalityEstimator est(gs, nullptr, graph.dict(),
+                                 card::StatsMode::kGlobal);
+  size_t breakers = 0;
+  for (int trial = 0; trial < 50; ++trial) {
+    const std::string text = RandomQuery(graph, rng);
+    SCOPED_TRACE(text);
+    auto q = sparql::ParseQuery(text);
+    ASSERT_TRUE(q.ok()) << q.status().ToString();
+    const auto bgp = sparql::EncodeBgp(*q, graph.dict());
+    const opt::Plan plan = opt::PlanJoinOrder(bgp, est);
+    sparql::ParsedQuery bare = *q;  // the BGP alone, for the count sink
+    bare.filters.clear();
+    bare.distinct = false;
+    const size_t bgp_truth = reference::Evaluate(graph, bare).rows.size();
+    const reference::Bag truth = reference::Evaluate(graph, *q);
+
+    phys::ResultTable inlj;
+    std::vector<uint64_t> inlj_cards;
+    for (JoinMode mode : kModes) {
+      SCOPED_TRACE(phys::JoinModeName(mode));
+      phys::PlannerOptions popts;
+      popts.mode = mode;
+      popts.tiny_left = 0;  // let auto weigh merge and hash on tiny data
+      const phys::PhysicalPlan pplan =
+          phys::PlanPhysical(bgp, plan, graph, popts);
+      if (HasMergeOrHash(pplan)) ++breakers;
+      auto counted = phys::ExecuteBgp(graph, bgp, pplan);
+      ASSERT_TRUE(counted.ok()) << counted.status().ToString();
+      EXPECT_EQ(counted->num_results, bgp_truth);
+      auto got = phys::ExecuteQuery(graph, *q, bgp, pplan);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      if (mode == JoinMode::kInlj) {
+        inlj = *got;
+        inlj_cards = counted->step_cards;
+      }
+      EXPECT_EQ(counted->step_cards, inlj_cards);
+      EXPECT_EQ(got->rows, inlj.rows);
+      EXPECT_EQ(got->bgp_matches, inlj.bgp_matches);
+    }
+    if (q->count_aggregate) {
+      EXPECT_EQ(inlj.bgp_matches, truth.rows.size());
+    } else {
+      EXPECT_EQ(inlj.var_names, truth.var_names);
+      EXPECT_EQ(reference::AsBag(inlj.rows), truth.rows);
+    }
+  }
+  // The sweep must reach the merge and hash operators to mean anything.
+  EXPECT_GT(breakers, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, PhysOracleSweep,
+                         ::testing::Values(1u, 2u, 3u, 4u, 5u, 6u));
+
+// ---------------------------------------------------------------------------
 // End-to-end: forced operator modes produce byte-identical tables on the
 // LUBM workload, across pool sizes 1 and 4.
 
-uint64_t TableDigest(const exec::ResultTable& table) {
+uint64_t TableDigest(const phys::ResultTable& table) {
   uint64_t h = 1469598103934665603ull;
   auto mix = [&h](uint64_t v) {
     for (int i = 0; i < 8; ++i) {

@@ -1,10 +1,12 @@
 // Tests for the SPARQL extensions (FILTER / DISTINCT / ORDER BY / OFFSET /
-// LIMIT), the materializing SELECT executor, and the QueryEngine facade.
+// LIMIT), the executor's query sinks, and the QueryEngine facade.
 #include <gtest/gtest.h>
+
+#include <numeric>
 
 #include "datagen/lubm.h"
 #include "engine/query_engine.h"
-#include "exec/select_executor.h"
+#include "phys/phys_executor.h"
 #include "rdf/turtle.h"
 #include "sparql/parser.h"
 
@@ -27,15 +29,18 @@ class SelectFixture : public ::testing::Test {
     graph_.Finalize();
   }
 
-  exec::ResultTable Run(const std::string& text) {
+  phys::ResultTable Run(const std::string& text) {
     auto q = sparql::ParseQuery(text);
     EXPECT_TRUE(q.ok()) << q.status().ToString() << "\n" << text;
-    auto r = exec::ExecuteSelect(graph_, *q);
+    auto bgp = sparql::EncodeBgp(*q, graph_.dict());
+    std::vector<uint32_t> order(bgp.patterns.size());
+    std::iota(order.begin(), order.end(), 0u);
+    auto r = phys::ExecuteQuery(graph_, *q, bgp, phys::InljPlan(order));
     EXPECT_TRUE(r.ok()) << r.status().ToString();
-    return r.ok() ? std::move(r).value() : exec::ResultTable{};
+    return r.ok() ? std::move(r).value() : phys::ResultTable{};
   }
 
-  std::string Cell(const exec::ResultTable& t, size_t row, size_t col) {
+  std::string Cell(const phys::ResultTable& t, size_t row, size_t col) {
     return graph_.dict().term(t.rows[row][col]).lexical;
   }
 
