@@ -184,9 +184,11 @@ rdf::Graph GenerateYago(const YagoOptions& options) {
   }
 
   // ------------------------------------------------------ heterogeneous tail
-  const uint32_t tail_entities =
-      n - (num_persons + num_actors + num_movies + num_orgs + num_cities +
-           num_countries + num_books);
+  // Cities and countries have fixed minimums, so a small graph can spend
+  // every entity on the anchor classes; its tail is then empty.
+  const uint32_t anchored = num_persons + num_actors + num_movies + num_orgs +
+                            num_cities + num_countries + num_books;
+  const uint32_t tail_entities = n > anchored ? n - anchored : 0;
   std::vector<rdf::TermId> classes;
   for (uint32_t c = 0; c < options.num_classes; ++c) {
     classes.push_back(schema("Class" + std::to_string(c)));

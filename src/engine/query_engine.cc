@@ -1,5 +1,6 @@
 #include "engine/query_engine.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdio>
@@ -58,72 +59,43 @@ std::string FmtNum(double v) {
   return buf;
 }
 
-/// Assembles a self-contained flight-recorder bundle for one execution:
-/// enough to diagnose the anomaly offline — query text, caller identity,
-/// the logical and physical plan with per-step rationale, the full trace
-/// (per-step est/true cardinalities when the run was traced), the final
-/// resource snapshot, plan-cache and feedback state, and the build info.
-std::string BuildFlightBundle(
-    const char* trigger, std::string_view sparql, const char* outcome,
-    const opt::Plan& plan, const phys::PhysicalPlan& pplan, double total_ms,
-    uint64_t num_results, const obs::QueryTrace* trace,
-    const obs::ResourceSnapshot* resources, const std::string& cache_template,
-    const cache::PlanCache* pcache, uint64_t request_id, uint64_t batch_id,
-    uint32_t slot) {
-  std::string out = "{\"trigger\":\"" + std::string(trigger) + "\"";
-  out += ",\"outcome\":\"" + std::string(outcome) + "\"";
-  if (request_id != 0) out += ",\"request_id\":" + std::to_string(request_id);
-  if (batch_id != 0) {
-    out += ",\"batch_id\":" + std::to_string(batch_id) +
-           ",\"slot\":" + std::to_string(slot);
+/// "2,0,1": a join order as the query.plan event and flight bundles print it.
+std::string JoinOrder(const std::vector<uint32_t>& order) {
+  std::string out;
+  for (uint32_t tp : order) {
+    if (!out.empty()) out += ",";
+    out += std::to_string(tp);
   }
-  out += ",\"query\":\"" + obs::JsonEscape(std::string(sparql)) + "\"";
-  out += ",\"total_ms\":" + FmtNum(total_ms);
-  out += ",\"num_results\":" + std::to_string(num_results);
-  out += ",\"plan\":{\"provider\":\"" + obs::JsonEscape(plan.provider) +
-         "\",\"est_cost\":" + FmtNum(plan.total_cost) + ",\"order\":[";
-  for (size_t i = 0; i < plan.order.size(); ++i) {
-    if (i) out += ",";
-    out += std::to_string(plan.order[i]);
-  }
-  out += "]}";
-  if (!pplan.steps.empty()) {
-    out += ",\"phys\":{\"summary\":\"" + obs::JsonEscape(pplan.Summary()) +
-           "\",\"steps\":[";
-    for (size_t i = 0; i < pplan.steps.size(); ++i) {
-      const phys::PhysicalStep& ps = pplan.steps[i];
-      if (i) out += ",";
-      out += "{\"op\":\"" + std::string(phys::OpName(ps.op)) +
-             "\",\"est_build\":" + FmtNum(ps.est_left) +
-             ",\"est_probe\":" + FmtNum(ps.est_right) + ",\"rationale\":\"" +
-             obs::JsonEscape(ps.rationale) + "\"}";
-    }
-    out += "]}";
-  }
-  if (trace != nullptr) out += ",\"trace\":" + trace->ToJson();
-  if (resources != nullptr) out += ",\"resources\":" + resources->ToJson();
-  out += ",\"cache\":{";
-  out += "\"template\":\"" + obs::JsonEscape(cache_template) + "\"";
-  if (pcache != nullptr) {
-    const cache::PlanCache::StatsSnapshot cs = pcache->stats();
-    out += ",\"hits\":" + std::to_string(cs.hits) +
-           ",\"misses\":" + std::to_string(cs.misses) +
-           ",\"size\":" + std::to_string(cs.size) +
-           ",\"corrections\":" + std::to_string(cs.corrections) +
-           ",\"hit_rate\":" + FmtNum(cs.hit_rate);
-  }
-  if (!plan.correction_factors.empty()) {
-    out += ",\"correction_factors\":[";
-    for (size_t i = 0; i < plan.correction_factors.size(); ++i) {
-      if (i) out += ",";
-      out += FmtNum(plan.correction_factors[i]);
-    }
-    out += "]";
-  }
-  out += "}";
-  out += ",\"build\":" + obs::BuildInfoJson();
-  out += "}";
   return out;
+}
+
+/// Feedback-learned correction factors in force for one query's template,
+/// per canonical pattern and mapped into instance pattern numbering (both
+/// empty when every factor is 1, the cache is off, or the query bypasses
+/// it). The version is read before the factors so a concurrent publication
+/// can only make a cache entry look stale (a harmless re-plan), never fresh.
+struct Corrections {
+  uint64_t version = 0;
+  std::vector<double> canon;
+  std::vector<double> instance;
+};
+
+Corrections FeedbackCorrections(const cache::PlanCache* pcache,
+                                const cache::CanonicalTemplate& tmpl,
+                                size_t num_patterns) {
+  Corrections c;
+  if (pcache == nullptr || !tmpl.cacheable) return c;
+  c.version = pcache->feedback().Version(tmpl.hash);
+  c.canon = pcache->feedback().Factors(tmpl.hash, num_patterns);
+  if (std::all_of(c.canon.begin(), c.canon.end(),
+                  [](double f) { return f == 1.0; })) {
+    c.canon.clear();
+    return c;
+  }
+  for (uint32_t canon : tmpl.instance_to_canon) {
+    c.instance.push_back(c.canon[canon]);
+  }
+  return c;
 }
 
 /// Per-step observed/estimated ratios attributed to the pattern each step
@@ -274,11 +246,117 @@ analysis::ShapeChecker QueryEngine::Checker() const {
       state_->graph.dict());
 }
 
-Result<opt::Plan> QueryEngine::PlanQuery(
-    const sparql::EncodedBgp& bgp, obs::PlannerTrace* trace,
-    const std::unordered_map<sparql::VarId, rdf::TermId>* inferred,
-    const std::vector<double>* corrections) const {
-  opt::Plan plan;
+/// One query's passage through the engine. Every entry point runs its front
+/// half (Parse, CheckStatic, Plan) over this record; Execute also finishes
+/// through it, and flight bundles are a view of it.
+struct QueryEngine::Lifecycle {
+  Lifecycle(std::string_view text, obs::QueryTrace* query_trace,
+            obs::QueryRegistry* registry, const ExecContext* caller)
+      : sparql(text), trace(query_trace) {
+    if (caller != nullptr) ctx = *caller;
+    // The live registry record (with its per-query ResourceTracker) exists
+    // from here until Finish completes it; early error returns finalize it
+    // with outcome "error" via RAII. A traced run without a registry still
+    // gets a local tracker so callers see resource totals.
+    if (registry != nullptr) {
+      reg = registry->Register(std::string(text), ctx.request_id,
+                               ctx.batch_id, ctx.slot);
+      tracker = reg.tracker();
+    } else if (trace != nullptr) {
+      tracker = &local_tracker.emplace();
+    }
+  }
+
+  /// Closes the trace span `done` (traced runs; null closes none) and moves
+  /// the live registry record to phase `next` (when non-null).
+  void Phase(const char* done, const char* next = nullptr) {
+    if (trace != nullptr && done != nullptr) {
+      trace->AddPhase(done, phase.ElapsedMs());
+      phase.Reset();
+    }
+    if (next != nullptr) reg.SetPhase(next);
+  }
+
+  /// Stamps the plan Execute or ExplainAnalyze settled on onto the trace.
+  void Planned(const opt::Plan& plan) {
+    if (trace == nullptr) return;
+    trace->optimizer = plan.provider;
+    trace->query_shape = sparql::QueryShapeName(shape);
+    trace->est_total_cost = plan.total_cost;
+    trace->est_corrected = std::any_of(plan.correction_factors.begin(),
+                                       plan.correction_factors.end(),
+                                       [](double f) { return f != 1.0; });
+  }
+
+  /// A provably-empty verdict on a query the executor would not reject.
+  bool ShortCircuits() const { return check.provably_empty() && !lint_errors; }
+
+  std::string_view sparql;
+  obs::QueryTrace* trace;
+  ExecContext ctx;
+  Timer total;
+  Timer phase;
+  obs::QueryRegistry::Registration reg;
+  std::optional<obs::ResourceTracker> local_tracker;
+  obs::ResourceTracker* tracker = nullptr;
+
+  sparql::ParsedQuery query;
+  sparql::EncodedBgp bgp;
+  sparql::QueryShape shape = sparql::QueryShape::kComplex;
+  // Static verdict: CheckStatic's, or the one stored in the plan cache.
+  analysis::ShapeCheckResult check;
+  bool lint_errors = false;
+  std::unordered_map<sparql::VarId, rdf::TermId> anchors;
+  // Plan-cache template; `template_id` names it in the registry record and
+  // flight bundles (empty when the query did not go through the cache).
+  cache::CanonicalTemplate tmpl;
+  std::string template_id;
+  // Executed runs: per-pattern estimate provenance (traced runs only), the
+  // final resource snapshot, and how execution ended.
+  std::vector<card::EstimateDetail> details;
+  std::optional<obs::ResourceSnapshot> resources;
+  bool timed_out = false;
+  bool cancelled = false;
+};
+
+Status QueryEngine::Parse(Lifecycle& q) const {
+  ASSIGN_OR_RETURN(q.query, sparql::ParseQuery(q.sparql));
+  if (q.trace != nullptr) q.trace->query = std::string(q.sparql);
+  q.Phase("parse");
+  q.bgp = sparql::EncodeBgp(q.query, state_->graph.dict());
+  q.Phase("encode", "analyze");
+  q.shape = sparql::ClassifyShape(q.bgp);
+  return Status::OK();
+}
+
+void QueryEngine::CheckStatic(Lifecycle& q) const {
+  if (state_->options.static_check) {
+    q.check = Checker().Check(q.query, q.bgp);
+    // Degenerate queries (unbound projection / FILTER / ORDER BY variables)
+    // must keep failing exactly as the executor would fail them, so a
+    // provably-empty verdict also runs the full lint: only clean queries
+    // short-circuit.
+    if (q.check.provably_empty()) {
+      q.lint_errors = analysis::HasErrors(
+          analysis::QueryLint(state_->gs, state_->graph.dict())
+              .Lint(q.query, q.bgp));
+    }
+    if (state_->options.infer_constraints && !q.check.inferred.empty()) {
+      q.anchors = q.check.InferredAnchors(state_->gs);
+    }
+    if (q.trace != nullptr) {
+      q.trace->static_verdict = analysis::SatisfiabilityName(q.check.verdict);
+    }
+  }
+  // Without a check there is no span to close; planning starts either way.
+  q.Phase(state_->options.static_check ? "static-check" : nullptr, "plan");
+}
+
+Status QueryEngine::Plan(const Lifecycle& q,
+                         const std::vector<double>& corrections,
+                         QueryResult* out) const {
+  const sparql::EncodedBgp& bgp = q.bgp;
+  opt::Plan& plan = out->plan;
   if (state_->estimator == nullptr) {
     plan.provider = "textual";
     plan.order.resize(bgp.patterns.size());
@@ -296,24 +374,26 @@ Result<opt::Plan> QueryEngine::PlanQuery(
       plan.has_cartesian = !joins;
     }
   } else {
+    obs::PlannerTrace* ptrace =
+        q.trace != nullptr ? &q.trace->planner : nullptr;
     // Static-checker-proven class anchors tighten the shape estimates for
     // untyped subject variables (per-query provider view; the shared
     // estimator stays untouched).
     const card::PlannerStatsProvider* provider = state_->estimator.get();
     std::optional<card::AnchoredEstimator> anchored;
-    if (inferred != nullptr && !inferred->empty()) {
-      anchored.emplace(*state_->estimator, *inferred);
+    if (!q.anchors.empty()) {
+      anchored.emplace(*state_->estimator, q.anchors);
       provider = &*anchored;
     }
-    if (corrections != nullptr && !corrections->empty()) {
+    if (!corrections.empty()) {
       // Feedback-learned adjustment factors scale the per-pattern
       // cardinalities (card::CorrectedProvider) — same provider label, so
       // ledger populations stay comparable.
-      card::CorrectedProvider corrected(*provider, *corrections);
-      plan = opt::PlanJoinOrder(bgp, corrected, trace);
-      plan.correction_factors = *corrections;
+      card::CorrectedProvider corrected(*provider, corrections);
+      plan = opt::PlanJoinOrder(bgp, corrected, ptrace);
+      plan.correction_factors = corrections;
     } else {
-      plan = opt::PlanJoinOrder(bgp, *provider, trace);
+      plan = opt::PlanJoinOrder(bgp, *provider, ptrace);
     }
   }
   if (state_->options.verify_plans) {
@@ -323,31 +403,38 @@ Result<opt::Plan> QueryEngine::PlanQuery(
                               analysis::ToText(diags));
     }
   }
-  return plan;
-}
-
-Result<phys::PhysicalPlan> QueryEngine::PlanPhysicalFor(
-    const sparql::EncodedBgp& bgp, const opt::Plan& plan) const {
   phys::PlannerOptions popts;
   popts.mode = state_->options.join_mode;
-  phys::PhysicalPlan pplan =
-      phys::PlanPhysical(bgp, plan, state_->graph, popts);
+  out->phys = phys::PlanPhysical(bgp, plan, state_->graph, popts);
   if (state_->options.verify_plans) {
     analysis::Diagnostics diags =
-        analysis::PlanVerifier().Verify(pplan, plan, bgp);
+        analysis::PlanVerifier().Verify(out->phys, plan, bgp);
     if (analysis::HasErrors(diags)) {
       return Status::Internal("physical plan failed verification:\n" +
                               analysis::ToText(diags));
     }
   }
-  return pplan;
+  return Status::OK();
+}
+
+Result<QueryResult> QueryEngine::PlanFresh(Lifecycle& q) const {
+  RETURN_NOT_OK(Parse(q));
+  CheckStatic(q);
+  if (state_->plan_cache != nullptr) {
+    q.tmpl = cache::CanonicalizeTemplate(q.query, q.bgp, state_->gs.rdf_type_id);
+  }
+  const Corrections corrections = FeedbackCorrections(
+      state_->plan_cache.get(), q.tmpl, q.bgp.patterns.size());
+  QueryResult planned;
+  RETURN_NOT_OK(Plan(q, corrections.instance, &planned));
+  return planned;
 }
 
 Result<analysis::Diagnostics> QueryEngine::Lint(std::string_view sparql) const {
-  ASSIGN_OR_RETURN(sparql::ParsedQuery query, sparql::ParseQuery(sparql));
-  sparql::EncodedBgp bgp = sparql::EncodeBgp(query, state_->graph.dict());
+  Lifecycle q(sparql, nullptr, nullptr, nullptr);
+  RETURN_NOT_OK(Parse(q));
   analysis::Diagnostics diags =
-      analysis::QueryLint(state_->gs, state_->graph.dict()).Lint(bgp);
+      analysis::QueryLint(state_->gs, state_->graph.dict()).Lint(q.bgp);
   obs::EventLog& log = obs::EventLog::Global();
   if (!diags.empty() && log.active()) {
     log.Emit(obs::Event("lint")
@@ -359,43 +446,33 @@ Result<analysis::Diagnostics> QueryEngine::Lint(std::string_view sparql) const {
 
 Result<analysis::ShapeCheckResult> QueryEngine::StaticCheck(
     std::string_view sparql) const {
-  ASSIGN_OR_RETURN(sparql::ParsedQuery query, sparql::ParseQuery(sparql));
-  sparql::EncodedBgp bgp = sparql::EncodeBgp(query, state_->graph.dict());
+  Lifecycle q(sparql, nullptr, nullptr, nullptr);
+  RETURN_NOT_OK(Parse(q));
   analysis::Diagnostics lint =
-      analysis::QueryLint(state_->gs, state_->graph.dict()).Lint(query, bgp);
-  analysis::ShapeCheckResult check = Checker().Check(query, bgp);
+      analysis::QueryLint(state_->gs, state_->graph.dict()).Lint(q.query, q.bgp);
+  analysis::ShapeCheckResult check = Checker().Check(q.query, q.bgp);
   check.diagnostics.insert(check.diagnostics.begin(), lint.begin(),
                            lint.end());
   return check;
 }
 
-void QueryEngine::FillStepTraces(const sparql::ParsedQuery& query,
-                                 const sparql::EncodedBgp& bgp,
-                                 const opt::Plan& plan,
-                                 const phys::PhysicalPlan* pplan,
-                                 const std::vector<card::EstimateDetail>& details,
+void QueryEngine::FillStepTraces(const Lifecycle& q, const QueryResult& planned,
                                  const std::vector<uint64_t>& true_cards,
-                                 obs::QueryTrace* trace, bool record) const {
+                                 bool record) const {
+  const opt::Plan& plan = planned.plan;
+  const std::vector<card::EstimateDetail>& details = q.details;
+  obs::QueryTrace* trace = q.trace;
   for (size_t k = 0; k < plan.order.size(); ++k) {
     const uint32_t tp = plan.order[k];
     obs::StepTrace step;
     step.step = static_cast<uint32_t>(k + 1);
     step.pattern = tp;
-    step.pattern_text = query.patterns[tp].ToString();
-    if (pplan != nullptr && k < pplan->steps.size()) {
-      const phys::PhysicalStep& ps = pplan->steps[k];
+    step.pattern_text = q.query.patterns[tp].ToString();
+    if (k < planned.phys.steps.size()) {
+      const phys::PhysicalStep& ps = planned.phys.steps[k];
       step.join_type = phys::OpName(ps.op);
       step.est_build = ps.est_left;
       step.est_probe = ps.est_right;
-    } else if (k == 0) {
-      step.join_type = "scan";
-    } else {
-      bool joins = false;
-      for (size_t j = 0; j < k && !joins; ++j) {
-        joins = sparql::Joinable(bgp.patterns[plan.order[j]],
-                                 bgp.patterns[plan.order[k]]);
-      }
-      step.join_type = joins ? "join" : "product";
     }
     if (tp < details.size()) {
       step.source = details[tp].source;
@@ -444,429 +521,320 @@ Result<QueryResult> QueryEngine::Execute(std::string_view sparql,
 Result<QueryResult> QueryEngine::ExecuteInternal(std::string_view sparql,
                                                  obs::QueryTrace* trace,
                                                  const ExecContext* ctx) const {
-  static obs::Counter* queries =
-      obs::MetricsRegistry::Global().GetCounter("engine.queries");
-  static obs::Histogram* query_ms =
-      obs::MetricsRegistry::Global().GetHistogram("engine.query_ms");
   obs::EventLog& log = obs::EventLog::Global();
   obs::TraceSpan span("engine", "query");
-  Timer timer;
-  Timer phase;
-  // Introspection registration: the live record (with its per-query
-  // ResourceTracker) exists from here until a finish path completes it;
-  // early error returns finalize it with outcome "error" via RAII. A
-  // traced execution on a registry-less engine still gets a local tracker
-  // so EXPLAIN ANALYZE-style callers see resource totals.
-  obs::QueryRegistry::Registration reg;
-  std::optional<obs::ResourceTracker> local_tracker;
-  obs::ResourceTracker* tracker = nullptr;
-  if (state_->registry != nullptr) {
-    reg = state_->registry->Register(std::string(sparql),
-                                     ctx != nullptr ? ctx->request_id : 0,
-                                     ctx != nullptr ? ctx->batch_id : 0,
-                                     ctx != nullptr ? ctx->slot : 0);
-    reg.SetPhase("parse");
-    tracker = reg.tracker();
-  } else if (trace != nullptr) {
-    local_tracker.emplace();
-    tracker = &*local_tracker;
-  }
-  ASSIGN_OR_RETURN(sparql::ParsedQuery query, sparql::ParseQuery(sparql));
-  if (trace != nullptr) {
-    trace->query = std::string(sparql);
-    trace->AddPhase("parse", phase.ElapsedMs());
-    phase.Reset();
-  }
-  sparql::EncodedBgp bgp = sparql::EncodeBgp(query, state_->graph.dict());
-  if (trace != nullptr) {
-    trace->AddPhase("encode", phase.ElapsedMs());
-    phase.Reset();
-  }
-  reg.SetPhase("analyze");
+  Lifecycle q(sparql, trace, state_->registry, ctx);
+  RETURN_NOT_OK(Parse(q));
   QueryResult result;
-  result.shape = sparql::ClassifyShape(bgp);
-  if (trace != nullptr) {
-    // Shape classification runs on every query regardless of caching, so it
-    // gets its own phase instead of inflating the static-check span.
-    trace->AddPhase("analyze", phase.ElapsedMs());
-    phase.Reset();
-  }
+  result.shape = q.shape;
+  // Shape classification runs on every query regardless of caching, so it
+  // gets its own phase instead of inflating the static-check span.
+  q.Phase("analyze", "static-check");
   if (log.active()) {
     log.Emit(obs::Event("query.start")
-                 .Str("query_shape", sparql::QueryShapeName(result.shape))
-                 .Uint("patterns", bgp.patterns.size()));
+                 .Str("query_shape", sparql::QueryShapeName(q.shape))
+                 .Uint("patterns", q.bgp.patterns.size()));
   }
 
   // Plan-cache lookup: canonicalize the query into its BGP template and
   // try to reuse the stored verdict + plans. Bypassed (uncacheable)
-  // queries and cache-less engines take the unchanged path below.
+  // queries and cache-less engines take the uncached path below.
   cache::PlanCache* pcache = state_->plan_cache.get();
-  cache::CanonicalTemplate tmpl;
   std::shared_ptr<const cache::CachedPlan> cached;
-  bool cache_eligible = false;
   if (pcache != nullptr) {
-    tmpl = cache::CanonicalizeTemplate(query, bgp, state_->gs.rdf_type_id);
-    if (tmpl.cacheable) {
-      cache_eligible = true;
-      cached = pcache->Get(tmpl.key);
+    q.tmpl = cache::CanonicalizeTemplate(q.query, q.bgp, state_->gs.rdf_type_id);
+    if (q.tmpl.cacheable) {
+      cached = pcache->Get(q.tmpl.key);
+      q.template_id = cached != nullptr ? cached->short_id : q.tmpl.ShortId();
+      q.reg.SetTemplate(q.template_id);
     } else {
       pcache->NoteBypass();
     }
   }
-  if (cached != nullptr && trace != nullptr) {
-    trace->plan_cached = true;
-    trace->cache_template = cached->short_id;
-  }
-  // Template identity for the registry record and flight bundles.
-  std::string template_id;
-  if (cached != nullptr) {
-    template_id = cached->short_id;
-  } else if (cache_eligible) {
-    template_id = tmpl.ShortId();
-  }
-  if (!template_id.empty()) reg.SetTemplate(template_id);
 
-  // Answers a provably-empty query with zero rows (verdict from the
-  // checker or the cache), skipping optimize + execute.
-  auto finish_empty = [&]() {
-    static obs::Counter* short_circuits =
-        obs::MetricsRegistry::Global().GetCounter(
-            "static_check.short_circuits");
-    result.plan.provider = "static-empty";
-    if (query.is_ask) {
-      result.ask = false;
-    } else if (query.count_aggregate) {
-      result.count = 0;
-    } else if (query.select_all) {
-      result.table.var_names = bgp.var_names;
-    } else {
-      for (const sparql::Variable& v : query.projection) {
-        result.table.var_names.push_back(v.name);
-      }
-    }
-    result.plan_ms = timer.ElapsedMs();
-    result.total_ms = result.plan_ms;
-    queries->Add();
-    query_ms->Observe(result.total_ms);
-    short_circuits->Add();
-    reg.Complete("static-empty", 0);
-    if (trace != nullptr) {
-      trace->optimizer = result.plan.provider;
-      trace->query_shape = sparql::QueryShapeName(result.shape);
-      trace->num_results = 0;
-      trace->total_ms = result.total_ms;
-    }
-    if (log.active()) {
-      log.Emit(obs::Event("query.finish")
-                   .Str("optimizer", result.plan.provider)
-                   .Str("query_shape", sparql::QueryShapeName(result.shape))
-                   .Uint("results", 0)
-                   .Bool("timed_out", false)
-                   .Num("ms", result.total_ms));
-    }
-    return result;
-  };
-
-  std::unordered_map<sparql::VarId, rdf::TermId> inferred_anchors;
   if (cached != nullptr) {
     // Cache hit: the stored verdict and plans are valid for every instance
     // of the template (estimates and emptiness rules are value-independent
     // given the key's concrete predicates, class constants, and
     // constant-distinctness classes).
+    if (trace != nullptr) {
+      trace->plan_cached = true;
+      trace->cache_template = cached->short_id;
+    }
     if (cached->checked) {
+      q.check.verdict = cached->verdict;
+      q.lint_errors = cached->lint_errors;
       if (trace != nullptr) {
         trace->static_verdict = analysis::SatisfiabilityName(cached->verdict);
-        trace->AddPhase("static-check", phase.ElapsedMs());
-        phase.Reset();
       }
-      if (cached->verdict != analysis::Satisfiability::kSatisfiable &&
-          !cached->lint_errors) {
-        return finish_empty();
-      }
-      if (state_->options.infer_constraints) {
-        for (const auto& [canon_var, cls] : cached->inferred) {
-          if (canon_var < tmpl.var_canon_to_instance.size()) {
-            inferred_anchors[tmpl.var_canon_to_instance[canon_var]] = cls;
-          }
+      q.Phase("static-check", "plan");
+      for (const auto& [canon_var, cls] : cached->inferred) {
+        if (canon_var < q.tmpl.var_canon_to_instance.size()) {
+          q.anchors[q.tmpl.var_canon_to_instance[canon_var]] = cls;
         }
       }
     }
-    result.plan = cache::PlanToInstance(cached->plan, tmpl);
-    result.phys = cache::PhysToInstance(cached->phys, tmpl);
+    if (!q.ShortCircuits()) {
+      result.plan = cache::PlanToInstance(cached->plan, q.tmpl);
+      result.phys = cache::PhysToInstance(cached->phys, q.tmpl);
+    }
   } else {
     // Shape-aware static check: a provably-empty BGP is answered with zero
-    // rows right here, skipping optimize + execute; a satisfiable one may
-    // still contribute inferred class anchors to the estimator.
-    analysis::ShapeCheckResult check;
-    bool lint_errors = false;
-    if (state_->options.static_check) {
-      reg.SetPhase("static-check");
-      check = Checker().Check(query, bgp);
-      if (trace != nullptr) {
-        trace->static_verdict = analysis::SatisfiabilityName(check.verdict);
-        trace->AddPhase("static-check", phase.ElapsedMs());
-        phase.Reset();
-      }
-      if (log.active() &&
-          (check.provably_empty() || !check.inferred.empty())) {
-        log.Emit(obs::Event("query.static")
-                     .Str("verdict",
-                          analysis::SatisfiabilityName(check.verdict))
-                     .Str("rule", check.rule)
-                     .Uint("findings", check.diagnostics.size())
-                     .Uint("inferred", check.inferred.size()));
-      }
-      if (check.provably_empty()) {
-        // Degenerate queries (unbound projection / FILTER / ORDER BY
-        // variables) must keep failing exactly as the executor would fail
-        // them — only clean queries take the short-circuit.
-        analysis::Diagnostics full_lint =
-            analysis::QueryLint(state_->gs, state_->graph.dict())
-                .Lint(query, bgp);
-        lint_errors = analysis::HasErrors(full_lint);
-        if (!lint_errors) {
-          if (cache_eligible) {
-            // Repeated provably-empty templates short-circuit straight
-            // from the cache, skipping even the checker.
-            auto entry = std::make_shared<cache::CachedPlan>();
-            entry->template_hash = tmpl.hash;
-            entry->short_id = tmpl.ShortId();
-            entry->num_patterns = static_cast<uint32_t>(bgp.patterns.size());
-            entry->checked = true;
-            entry->verdict = check.verdict;
-            entry->rule = check.rule;
-            entry->feedback_version = pcache->feedback().Version(tmpl.hash);
-            pcache->Put(tmpl.key, std::move(entry));
-          }
-          return finish_empty();
-        }
-      }
-      if (state_->options.infer_constraints && !check.inferred.empty()) {
-        inferred_anchors = check.InferredAnchors(state_->gs);
-      }
+    // rows below, skipping optimize + execute; a satisfiable one may still
+    // contribute inferred class anchors to the estimator.
+    CheckStatic(q);
+    if (log.active() &&
+        (q.check.provably_empty() || !q.check.inferred.empty())) {
+      log.Emit(obs::Event("query.static")
+                   .Str("verdict", analysis::SatisfiabilityName(q.check.verdict))
+                   .Str("rule", q.check.rule)
+                   .Uint("findings", q.check.diagnostics.size())
+                   .Uint("inferred", q.check.inferred.size()));
     }
-
-    // Feedback-learned correction factors for this template, mapped into
-    // instance pattern numbering. The feedback version is read before the
-    // factors so a concurrent publication can only make the entry look
-    // stale (forcing a harmless re-plan), never fresh.
-    std::vector<double> corrections_canon;
-    std::vector<double> corrections_instance;
-    uint64_t feedback_version = 0;
-    if (cache_eligible) {
-      feedback_version = pcache->feedback().Version(tmpl.hash);
-      corrections_canon =
-          pcache->feedback().Factors(tmpl.hash, bgp.patterns.size());
-      bool any = false;
-      for (double f : corrections_canon) any = any || f != 1.0;
-      if (any) {
-        corrections_instance.resize(bgp.patterns.size(), 1.0);
-        for (size_t i = 0; i < bgp.patterns.size(); ++i) {
-          corrections_instance[i] = corrections_canon[tmpl.instance_to_canon[i]];
-        }
-      } else {
-        corrections_canon.clear();
-      }
+    Corrections corrections =
+        FeedbackCorrections(pcache, q.tmpl, q.bgp.patterns.size());
+    if (!q.ShortCircuits()) {
+      RETURN_NOT_OK(Plan(q, corrections.instance, &result));
     }
-
-    reg.SetPhase("plan");
-    ASSIGN_OR_RETURN(
-        result.plan,
-        PlanQuery(bgp, trace != nullptr ? &trace->planner : nullptr,
-                  &inferred_anchors,
-                  corrections_instance.empty() ? nullptr
-                                               : &corrections_instance));
-    ASSIGN_OR_RETURN(result.phys, PlanPhysicalFor(bgp, result.plan));
-
-    if (cache_eligible) {
+    if (q.tmpl.cacheable) {
+      // Repeated provably-empty templates short-circuit straight from the
+      // cache, skipping even the checker; the physical plan is cached
+      // before any ASK/LIMIT pipelining downgrade, applied per instance.
       auto entry = std::make_shared<cache::CachedPlan>();
-      entry->template_hash = tmpl.hash;
-      entry->short_id = tmpl.ShortId();
-      entry->num_patterns = static_cast<uint32_t>(bgp.patterns.size());
+      entry->template_hash = q.tmpl.hash;
+      entry->short_id = q.template_id;
+      entry->num_patterns = static_cast<uint32_t>(q.bgp.patterns.size());
       entry->checked = state_->options.static_check;
-      entry->verdict = check.verdict;
-      entry->rule = check.rule;
-      entry->lint_errors = lint_errors;
-      if (state_->options.infer_constraints) {
-        for (const auto& [var, cls] : inferred_anchors) {
-          entry->inferred.emplace_back(tmpl.var_instance_to_canon[var], cls);
-        }
+      entry->verdict = q.check.verdict;
+      entry->rule = q.check.rule;
+      entry->lint_errors = q.lint_errors;
+      for (const auto& [var, cls] : q.anchors) {
+        entry->inferred.emplace_back(q.tmpl.var_instance_to_canon[var], cls);
       }
-      // The physical plan is cached before any ASK/LIMIT pipelining
-      // downgrade, which is applied per instance below.
-      entry->plan = cache::PlanToCanonical(result.plan, tmpl);
-      entry->phys = cache::PhysToCanonical(result.phys, tmpl);
-      entry->corrections = std::move(corrections_canon);
-      entry->feedback_version = feedback_version;
-      pcache->Put(tmpl.key, std::move(entry));
+      entry->plan = cache::PlanToCanonical(result.plan, q.tmpl);
+      entry->phys = cache::PhysToCanonical(result.phys, q.tmpl);
+      entry->corrections = std::move(corrections.canon);
+      entry->feedback_version = corrections.version;
+      pcache->Put(q.tmpl.key, std::move(entry));
     }
   }
 
-  phys::ExecOptions eopts = state_->options.exec;
-  // Physical operator selection rides inside the "plan" phase. ASK and
-  // LIMIT queries get all-INLJ plans, which stream, so early termination
-  // skips the work a merge or hash would do up front; the downgrade is
-  // recorded per step.
-  if (query.is_ask || query.limit.has_value()) {
-    phys::ForceInlj(&result.phys, "pipelined: ASK/LIMIT early termination");
-  }
-  result.plan_ms = timer.ElapsedMs();
-  if (trace != nullptr) {
-    trace->AddPhase("plan", phase.ElapsedMs());
-    phase.Reset();
-    trace->optimizer = result.plan.provider;
-    trace->query_shape = sparql::QueryShapeName(result.shape);
-    trace->est_total_cost = result.plan.total_cost;
-    for (double f : result.plan.correction_factors) {
-      if (f != 1.0) trace->est_corrected = true;
+  // A provably-empty query is answered with zero rows here, skipping
+  // optimize + execute; everything else runs its plan.
+  phys::ResultTable table;
+  const char* outcome = "static-empty";
+  if (q.ShortCircuits()) {
+    static obs::Counter* short_circuits =
+        obs::MetricsRegistry::Global().GetCounter("static_check.short_circuits");
+    short_circuits->Add();
+    result.plan.provider = "static-empty";
+    if (q.query.select_all) {
+      table.var_names = q.bgp.var_names;
+    } else {
+      for (const sparql::Variable& v : q.query.projection) {
+        table.var_names.push_back(v.name);
+      }
     }
-    eopts.trace = &trace->exec;
-  }
-  if (log.active()) {
-    obs::Event ev("query.plan");
-    ev.Str("optimizer", result.plan.provider)
-        .Num("est_cost", result.plan.total_cost)
-        .Bool("cartesian", result.plan.has_cartesian);
-    std::string order;
-    for (uint32_t tp : result.plan.order) {
-      if (!order.empty()) order += ",";
-      order += std::to_string(tp);
+    q.Planned(result.plan);
+  } else {
+    phys::ExecOptions eopts = state_->options.exec;
+    // Physical operator selection rides inside the "plan" phase. ASK and
+    // LIMIT queries get all-INLJ plans, which stream, so early termination
+    // skips the work a merge or hash would do up front; the downgrade is
+    // recorded per step.
+    if (q.query.is_ask || q.query.limit.has_value()) {
+      phys::ForceInlj(&result.phys, "pipelined: ASK/LIMIT early termination");
     }
-    ev.Str("order", order);
-    log.Emit(std::move(ev));
-  }
-  span.Arg("optimizer", result.plan.provider);
-  span.Arg("shape", sparql::QueryShapeName(result.shape));
-  reg.SetStepsTotal(result.plan.order.size());
-  reg.SetPhase("execute");
-  eopts.resources = tracker;
+    result.plan_ms = q.total.ElapsedMs();
+    q.Phase("plan", "execute");
+    q.Planned(result.plan);
+    if (trace != nullptr) eopts.trace = &trace->exec;
+    if (log.active()) {
+      obs::Event ev("query.plan");
+      ev.Str("optimizer", result.plan.provider)
+          .Num("est_cost", result.plan.total_cost)
+          .Bool("cartesian", result.plan.has_cartesian)
+          .Str("order", JoinOrder(result.plan.order));
+      log.Emit(std::move(ev));
+    }
+    span.Arg("optimizer", result.plan.provider);
+    span.Arg("shape", sparql::QueryShapeName(q.shape));
+    q.reg.SetStepsTotal(result.plan.order.size());
+    eopts.resources = q.tracker;
 
-  // Per-pattern estimate provenance, needed to annotate step traces and
-  // feed the accuracy ledger. Only computed for traced executions.
-  std::vector<card::EstimateDetail> details;
-  if (trace != nullptr && state_->estimator != nullptr) {
-    details = state_->estimator->EstimateAllDetailed(bgp, &inferred_anchors);
-    trace->AddPhase("estimate", phase.ElapsedMs());
-    phase.Reset();
-  }
+    // Per-pattern estimate provenance, needed to annotate step traces and
+    // feed the accuracy ledger. Only computed for traced executions.
+    if (trace != nullptr && state_->estimator != nullptr) {
+      q.details = state_->estimator->EstimateAllDetailed(q.bgp, &q.anchors);
+      q.Phase("estimate");
+    }
 
-  auto finish = [&](uint64_t num_results, bool timed_out, bool cancelled) {
-    result.total_ms = timer.ElapsedMs();
-    queries->Add();
-    query_ms->Observe(result.total_ms);
+    ASSIGN_OR_RETURN(table, phys::ExecuteQuery(state_->graph, q.query, q.bgp,
+                                               result.phys, eopts));
+    q.Phase("execute");
+    q.timed_out = table.timed_out;
+    q.cancelled = table.cancelled;
+    outcome = q.cancelled ? "cancelled" : (q.timed_out ? "timeout" : "ok");
     // Final resource snapshot: per-query distribution histograms for the
-    // Prometheus plane, the trace's resources block, and the registry's
-    // completed record all read the same numbers.
-    obs::ResourceSnapshot snap;
-    if (tracker != nullptr) {
-      snap = tracker->Snapshot();
-      static obs::Histogram* h_probes =
-          obs::MetricsRegistry::Global().GetHistogram(
-              "exec.query_index_probes");
-      static obs::Histogram* h_scanned =
-          obs::MetricsRegistry::Global().GetHistogram(
-              "exec.query_rows_scanned");
-      static obs::Histogram* h_materialized =
-          obs::MetricsRegistry::Global().GetHistogram(
-              "exec.query_rows_materialized");
-      static obs::Histogram* h_peak =
-          obs::MetricsRegistry::Global().GetHistogram("exec.query_peak_bytes");
-      static obs::Histogram* h_build =
-          obs::MetricsRegistry::Global().GetHistogram(
-              "exec.query_build_bytes");
-      h_probes->Observe(static_cast<double>(snap.index_probes));
-      h_scanned->Observe(static_cast<double>(snap.rows_scanned));
-      h_materialized->Observe(static_cast<double>(snap.rows_materialized));
-      h_peak->Observe(static_cast<double>(snap.peak_bytes));
-      h_build->Observe(static_cast<double>(snap.build_bytes));
-    }
-    if (trace != nullptr) {
-      trace->AddPhase("execute", phase.ElapsedMs());
-      trace->num_results = num_results;
-      trace->timed_out = timed_out;
-      trace->cancelled = cancelled;
-      trace->total_ms = result.total_ms;
-      if (tracker != nullptr) {
+    // Prometheus plane, the trace's resources block, the registry's
+    // completed record and flight bundles all read the same numbers.
+    if (q.tracker != nullptr) {
+      obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
+      static obs::Histogram* const hists[] = {
+          metrics.GetHistogram("exec.query_index_probes"),
+          metrics.GetHistogram("exec.query_rows_scanned"),
+          metrics.GetHistogram("exec.query_rows_materialized"),
+          metrics.GetHistogram("exec.query_peak_bytes"),
+          metrics.GetHistogram("exec.query_build_bytes")};
+      const obs::ResourceSnapshot& snap =
+          q.resources.emplace(q.tracker->Snapshot());
+      const uint64_t values[] = {snap.index_probes, snap.rows_scanned,
+                                 snap.rows_materialized, snap.peak_bytes,
+                                 snap.build_bytes};
+      for (size_t i = 0; i < std::size(hists); ++i) {
+        hists[i]->Observe(static_cast<double>(values[i]));
+      }
+      if (trace != nullptr) {
         trace->resources = snap;
         trace->has_resources = true;
       }
-      // ASK probes (LIMIT 1) and explicit LIMIT / timeout runs truncate
-      // execution, so their per-step counts are not true cardinalities —
-      // they get step annotations but stay out of the accuracy ledger.
-      bool exact = !query.is_ask && !query.limit.has_value() && !timed_out &&
-                   !trace->exec.step_rows_produced.empty();
-      FillStepTraces(query, bgp, result.plan, &result.phys, details,
-                     trace->exec.step_rows_produced, trace, exact);
-      // Close the feedback loop: exact per-step truths become learned
-      // adjustment factors for this template. A publication bumps the
-      // template's feedback version, so its cached plan re-plans (under
-      // the corrected estimates) on the next lookup.
-      if (exact && cache_eligible && state_->estimator != nullptr) {
-        std::vector<cache::FeedbackStore::Sample> samples =
-            FeedbackSamples(tmpl, result.plan,
-                            trace->exec.step_rows_produced);
-        if (!samples.empty()) pcache->RecordFeedback(tmpl.hash, samples);
-      }
     }
-    const char* outcome =
-        cancelled ? "cancelled" : (timed_out ? "timeout" : "ok");
-    reg.Complete(outcome, num_results);
-    // Flight-recorder anomaly triggers: cancellation, latency over the
-    // slow threshold, or a per-step q-error over the threshold (traced
-    // runs only — untracked runs have no step annotations to judge).
-    obs::FlightRecorder* fr = state_->flight;
-    if (fr != nullptr) {
-      const char* trigger = nullptr;
-      if (cancelled) {
-        trigger = "cancelled";
-      } else if (fr->slow_ms() >= 0 && result.total_ms >= fr->slow_ms()) {
-        trigger = "slow";
-      } else if (fr->max_q_error() > 0 && trace != nullptr) {
-        for (const obs::StepTrace& s : trace->steps) {
-          if (!std::isnan(s.q_error) && s.q_error > fr->max_q_error()) {
-            trigger = "qerror";
-            break;
-          }
-        }
-      }
-      if (trigger != nullptr) {
-        fr->Record(trigger,
-                   BuildFlightBundle(
-                       trigger, sparql, outcome, result.plan, result.phys,
-                       result.total_ms, num_results, trace,
-                       tracker != nullptr ? &snap : nullptr, template_id,
-                       state_->plan_cache.get(),
-                       ctx != nullptr ? ctx->request_id : 0,
-                       ctx != nullptr ? ctx->batch_id : 0,
-                       ctx != nullptr ? ctx->slot : 0));
-      }
-    }
-    if (log.active()) {
-      log.Emit(obs::Event("query.finish")
-                   .Str("optimizer", result.plan.provider)
-                   .Str("query_shape", sparql::QueryShapeName(result.shape))
-                   .Uint("results", num_results)
-                   .Bool("timed_out", timed_out)
-                   .Num("ms", result.total_ms));
-    }
-  };
-
-  ASSIGN_OR_RETURN(phys::ResultTable table,
-                   phys::ExecuteQuery(state_->graph, query, bgp, result.phys,
-                                      eopts));
+  }
   uint64_t num_results = table.rows.size();
-  const bool timed_out = table.timed_out;
-  const bool cancelled = table.cancelled;
-  if (query.is_ask) {
+  if (q.query.is_ask) {
     result.ask = num_results > 0;
-  } else if (query.count_aggregate) {
+  } else if (q.query.count_aggregate) {
     // COUNT(*) counts solutions (bag semantics).
     result.count = num_results = table.bgp_matches;
   } else {
     result.table = std::move(table);
   }
-  finish(num_results, timed_out, cancelled);
+  Finish(q, result, outcome, num_results);
+  // A short-circuited query is answered at plan time.
+  if (q.ShortCircuits()) result.plan_ms = result.total_ms;
   return result;
+}
+
+void QueryEngine::Finish(Lifecycle& q, QueryResult& result,
+                         const char* outcome, uint64_t num_results) const {
+  static obs::Counter* queries =
+      obs::MetricsRegistry::Global().GetCounter("engine.queries");
+  static obs::Histogram* query_ms =
+      obs::MetricsRegistry::Global().GetHistogram("engine.query_ms");
+  result.total_ms = q.total.ElapsedMs();
+  queries->Add();
+  query_ms->Observe(result.total_ms);
+  obs::QueryTrace* trace = q.trace;
+  if (trace != nullptr) {
+    trace->num_results = num_results;
+    trace->timed_out = q.timed_out;
+    trace->cancelled = q.cancelled;
+    trace->total_ms = result.total_ms;
+    // ASK probes (LIMIT 1) and explicit LIMIT / timeout runs truncate
+    // execution, so their per-step counts are not true cardinalities —
+    // they get step annotations but stay out of the accuracy ledger. A
+    // short-circuited query has no steps at all.
+    const std::vector<uint64_t>& truth = trace->exec.step_rows_produced;
+    const bool exact = !q.query.is_ask && !q.query.limit.has_value() &&
+                       !q.timed_out && !truth.empty();
+    FillStepTraces(q, result, truth, exact);
+    // Close the feedback loop: exact per-step truths become learned
+    // adjustment factors for this template. A publication bumps the
+    // template's feedback version, so its cached plan re-plans (under the
+    // corrected estimates) on the next lookup.
+    if (exact && q.tmpl.cacheable && state_->estimator != nullptr) {
+      state_->plan_cache->RecordFeedback(
+          q.tmpl.hash, FeedbackSamples(q.tmpl, result.plan, truth));
+    }
+  }
+  q.reg.Complete(outcome, num_results);
+  // Flight-recorder anomaly triggers: cancellation, latency over the slow
+  // threshold, or a per-step q-error over the threshold (traced runs only —
+  // untraced runs have no step annotations to judge).
+  if (obs::FlightRecorder* fr = state_->flight; fr != nullptr) {
+    const char* trigger = nullptr;
+    if (q.cancelled) {
+      trigger = "cancelled";
+    } else if (fr->slow_ms() >= 0 && result.total_ms >= fr->slow_ms()) {
+      trigger = "slow";
+    } else if (fr->max_q_error() > 0 && trace != nullptr) {
+      for (const obs::StepTrace& s : trace->steps) {
+        if (!std::isnan(s.q_error) && s.q_error > fr->max_q_error()) {
+          trigger = "qerror";
+          break;
+        }
+      }
+    }
+    if (trigger != nullptr) {
+      fr->Record(trigger, FlightBundle(trigger, outcome, q, result, num_results));
+    }
+  }
+  obs::EventLog& log = obs::EventLog::Global();
+  if (log.active()) {
+    log.Emit(obs::Event("query.finish")
+                 .Str("optimizer", result.plan.provider)
+                 .Str("query_shape", sparql::QueryShapeName(q.shape))
+                 .Uint("results", num_results)
+                 .Bool("timed_out", q.timed_out)
+                 .Num("ms", result.total_ms));
+  }
+}
+
+std::string QueryEngine::FlightBundle(const char* trigger, const char* outcome,
+                                      const Lifecycle& q,
+                                      const QueryResult& result,
+                                      uint64_t num_results) const {
+  const opt::Plan& plan = result.plan;
+  std::string out = "{\"trigger\":\"" + std::string(trigger) + "\"";
+  out += ",\"outcome\":\"" + std::string(outcome) + "\"";
+  if (q.ctx.request_id != 0) {
+    out += ",\"request_id\":" + std::to_string(q.ctx.request_id);
+  }
+  if (q.ctx.batch_id != 0) {
+    out += ",\"batch_id\":" + std::to_string(q.ctx.batch_id) +
+           ",\"slot\":" + std::to_string(q.ctx.slot);
+  }
+  out += ",\"query\":\"" + obs::JsonEscape(std::string(q.sparql)) + "\"";
+  out += ",\"total_ms\":" + FmtNum(result.total_ms);
+  out += ",\"num_results\":" + std::to_string(num_results);
+  out += ",\"plan\":{\"provider\":\"" + obs::JsonEscape(plan.provider) +
+         "\",\"est_cost\":" + FmtNum(plan.total_cost) + ",\"order\":[" +
+         JoinOrder(plan.order) + "]}";
+  if (!result.phys.steps.empty()) {
+    out += ",\"phys\":{\"summary\":\"" + obs::JsonEscape(result.phys.Summary()) +
+           "\",\"steps\":[";
+    for (size_t i = 0; i < result.phys.steps.size(); ++i) {
+      const phys::PhysicalStep& ps = result.phys.steps[i];
+      if (i) out += ",";
+      out += "{\"op\":\"" + std::string(phys::OpName(ps.op)) +
+             "\",\"est_build\":" + FmtNum(ps.est_left) +
+             ",\"est_probe\":" + FmtNum(ps.est_right) + ",\"rationale\":\"" +
+             obs::JsonEscape(ps.rationale) + "\"}";
+    }
+    out += "]}";
+  }
+  if (q.trace != nullptr) out += ",\"trace\":" + q.trace->ToJson();
+  if (q.resources.has_value()) out += ",\"resources\":" + q.resources->ToJson();
+  out += ",\"cache\":{\"template\":\"" + obs::JsonEscape(q.template_id) + "\"";
+  if (const cache::PlanCache* pcache = state_->plan_cache.get();
+      pcache != nullptr) {
+    const cache::PlanCache::StatsSnapshot cs = pcache->stats();
+    out += ",\"hits\":" + std::to_string(cs.hits) +
+           ",\"misses\":" + std::to_string(cs.misses) +
+           ",\"size\":" + std::to_string(cs.size) +
+           ",\"corrections\":" + std::to_string(cs.corrections) +
+           ",\"hit_rate\":" + FmtNum(cs.hit_rate);
+  }
+  if (!plan.correction_factors.empty()) {
+    out += ",\"correction_factors\":[";
+    for (size_t i = 0; i < plan.correction_factors.size(); ++i) {
+      if (i) out += ",";
+      out += FmtNum(plan.correction_factors[i]);
+    }
+    out += "]";
+  }
+  out += "},\"build\":" + obs::BuildInfoJson() + "}";
+  return out;
 }
 
 BatchResult QueryEngine::ExecuteBatch(const std::vector<std::string>& queries,
@@ -967,55 +935,25 @@ BatchResult QueryEngine::ExecuteBatch(const std::vector<std::string>& queries,
 }
 
 Result<std::string> QueryEngine::Explain(std::string_view sparql) const {
-  ASSIGN_OR_RETURN(sparql::ParsedQuery query, sparql::ParseQuery(sparql));
-  sparql::EncodedBgp bgp = sparql::EncodeBgp(query, state_->graph.dict());
-
-  analysis::ShapeCheckResult check;
-  std::unordered_map<sparql::VarId, rdf::TermId> inferred_anchors;
-  if (state_->options.static_check) {
-    check = Checker().Check(query, bgp);
-    if (state_->options.infer_constraints) {
-      inferred_anchors = check.InferredAnchors(state_->gs);
-    }
-  }
-  // With the plan cache enabled, EXPLAIN reports the query's template,
-  // whether it is currently cached, and any feedback corrections in force
-  // — and plans under those corrections, so the output matches what
-  // Execute would run.
-  cache::PlanCache* pcache = state_->plan_cache.get();
-  cache::CanonicalTemplate tmpl;
-  std::shared_ptr<const cache::CachedPlan> centry;
-  std::vector<double> corrections;
-  if (pcache != nullptr) {
-    tmpl = cache::CanonicalizeTemplate(query, bgp, state_->gs.rdf_type_id);
-    if (tmpl.cacheable) {
-      centry = pcache->Peek(tmpl.key);
-      std::vector<double> canon =
-          pcache->feedback().Factors(tmpl.hash, bgp.patterns.size());
-      bool any = false;
-      for (double f : canon) any = any || f != 1.0;
-      if (any) {
-        corrections.resize(bgp.patterns.size(), 1.0);
-        for (size_t i = 0; i < bgp.patterns.size(); ++i) {
-          corrections[i] = canon[tmpl.instance_to_canon[i]];
-        }
-      }
-    }
-  }
-  ASSIGN_OR_RETURN(opt::Plan plan,
-                   PlanQuery(bgp, nullptr, &inferred_anchors,
-                             corrections.empty() ? nullptr : &corrections));
-  ASSIGN_OR_RETURN(phys::PhysicalPlan pplan, PlanPhysicalFor(bgp, plan));
+  Lifecycle q(sparql, nullptr, nullptr, nullptr);
+  ASSIGN_OR_RETURN(const QueryResult planned, PlanFresh(q));
+  const opt::Plan& plan = planned.plan;
+  const phys::PhysicalPlan& pplan = planned.phys;
+  // With the plan cache enabled, EXPLAIN also reports the query's template,
+  // whether it is currently cached, and the feedback corrections the plan
+  // was made under.
+  const cache::PlanCache* pcache = state_->plan_cache.get();
+  const std::vector<double>& corrections = plan.correction_factors;
 
   std::string out = "plan (" + plan.provider + " optimizer, query shape: " +
-                    sparql::QueryShapeName(sparql::ClassifyShape(bgp)) + ")\n";
+                    sparql::QueryShapeName(q.shape) + ")\n";
   if (pcache != nullptr) {
-    if (!tmpl.cacheable) {
-      out += "plan cache: bypass (" + tmpl.bypass_reason + ")\n";
-    } else if (centry != nullptr) {
-      out += "plan: cached (" + centry->short_id + ")\n";
+    if (!q.tmpl.cacheable) {
+      out += "plan cache: bypass (" + q.tmpl.bypass_reason + ")\n";
+    } else if (auto entry = pcache->Peek(q.tmpl.key); entry != nullptr) {
+      out += "plan: cached (" + entry->short_id + ")\n";
     } else {
-      out += "plan: not cached (template " + tmpl.ShortId() + ")\n";
+      out += "plan: not cached (template " + q.tmpl.ShortId() + ")\n";
     }
   }
   if (!corrections.empty()) {
@@ -1034,12 +972,12 @@ Result<std::string> QueryEngine::Explain(std::string_view sparql) const {
   }
   if (state_->options.static_check) {
     out += "static check: " + std::string(analysis::SatisfiabilityName(
-                                  check.verdict));
-    if (check.provably_empty()) {
-      out += " (" + check.rule + "; the query returns zero rows without "
+                                  q.check.verdict));
+    if (q.check.provably_empty()) {
+      out += " (" + q.check.rule + "; the query returns zero rows without "
              "executing this plan)";
-    } else if (!check.inferred.empty()) {
-      out += " (" + std::to_string(check.inferred.size()) +
+    } else if (!q.check.inferred.empty()) {
+      out += " (" + std::to_string(q.check.inferred.size()) +
              " inferred class anchor(s) feed the estimates below)";
     }
     out += "\n";
@@ -1047,7 +985,7 @@ Result<std::string> QueryEngine::Explain(std::string_view sparql) const {
   for (size_t step = 0; step < plan.order.size(); ++step) {
     uint32_t tp = plan.order[step];
     out += "  " + std::to_string(step + 1) + ". " +
-           query.patterns[tp].ToString();
+           q.query.patterns[tp].ToString();
     if (!plan.tp_estimates.empty()) {
       out += "   [tp card ~" +
              WithCommas(static_cast<uint64_t>(plan.tp_estimates[tp].card)) +
@@ -1073,18 +1011,17 @@ Result<std::string> QueryEngine::Explain(std::string_view sparql) const {
       out += "\n";
     }
   }
-  if (!query.filters.empty()) {
-    out += "  + " + std::to_string(query.filters.size()) +
+  if (!q.query.filters.empty()) {
+    out += "  + " + std::to_string(q.query.filters.size()) +
            " filter(s), applied at the earliest step where bound\n";
   }
   if (plan.total_cost > 0) {
     out += "estimated cost: " +
            WithCommas(static_cast<uint64_t>(plan.total_cost)) + "\n";
   }
-  analysis::Diagnostics lint =
-      analysis::QueryLint(state_->gs, state_->graph.dict()).Lint(query, bgp);
-  if (!lint.empty()) out += analysis::ToText(lint);
-  if (!check.diagnostics.empty()) out += analysis::ToText(check.diagnostics);
+  out += analysis::ToText(analysis::QueryLint(state_->gs, state_->graph.dict())
+                              .Lint(q.query, q.bgp)) +
+         analysis::ToText(q.check.diagnostics);
   return out;
 }
 
@@ -1093,126 +1030,66 @@ Result<AnalyzeResult> QueryEngine::ExplainAnalyze(std::string_view sparql) const
       obs::MetricsRegistry::Global().GetCounter("engine.explain_analyze");
   AnalyzeResult out;
   obs::QueryTrace& trace = out.trace;
-  trace.query = std::string(sparql);
-
-  Timer total;
-  Timer phase;
-  ASSIGN_OR_RETURN(sparql::ParsedQuery query, sparql::ParseQuery(sparql));
-  trace.AddPhase("parse", phase.ElapsedMs());
-  phase.Reset();
-
-  sparql::EncodedBgp bgp = sparql::EncodeBgp(query, state_->graph.dict());
-  trace.AddPhase("encode", phase.ElapsedMs());
-  phase.Reset();
-
+  // No registry record: the lifecycle's local resource tracker feeds the
+  // trace's resources block (EXPLAIN ANALYZE always reports resource
+  // totals, registry or not).
+  Lifecycle q(sparql, &trace, nullptr, nullptr);
   // EXPLAIN ANALYZE executes in full even for provably-empty verdicts — the
   // profiling run doubles as a live soundness check of the static analyzer.
-  analysis::ShapeCheckResult check;
-  std::unordered_map<sparql::VarId, rdf::TermId> inferred_anchors;
-  if (state_->options.static_check) {
-    check = Checker().Check(query, bgp);
-    trace.static_verdict = analysis::SatisfiabilityName(check.verdict);
-    if (state_->options.infer_constraints) {
-      inferred_anchors = check.InferredAnchors(state_->gs);
-    }
-    trace.AddPhase("static-check", phase.ElapsedMs());
-    phase.Reset();
-  }
-
-  // Apply any feedback corrections in force for this template so the
-  // profiled plan matches what Execute would run (no cache lookup/insert:
-  // the profiling run always plans fresh).
-  std::vector<double> corrections;
-  if (state_->plan_cache != nullptr) {
-    cache::CanonicalTemplate tmpl =
-        cache::CanonicalizeTemplate(query, bgp, state_->gs.rdf_type_id);
-    if (tmpl.cacheable) {
-      std::vector<double> canon = state_->plan_cache->feedback().Factors(
-          tmpl.hash, bgp.patterns.size());
-      bool any = false;
-      for (double f : canon) any = any || f != 1.0;
-      if (any) {
-        corrections.resize(bgp.patterns.size(), 1.0);
-        for (size_t i = 0; i < bgp.patterns.size(); ++i) {
-          corrections[i] = canon[tmpl.instance_to_canon[i]];
-        }
-        trace.est_corrected = true;
-      }
-    }
-  }
-  ASSIGN_OR_RETURN(opt::Plan plan,
-                   PlanQuery(bgp, &trace.planner, &inferred_anchors,
-                             corrections.empty() ? nullptr : &corrections));
-  ASSIGN_OR_RETURN(phys::PhysicalPlan pplan, PlanPhysicalFor(bgp, plan));
-  trace.AddPhase("plan", phase.ElapsedMs());
-  phase.Reset();
-  trace.optimizer = plan.provider;
-  trace.query_shape = sparql::QueryShapeName(sparql::ClassifyShape(bgp));
-  trace.est_total_cost = plan.total_cost;
+  ASSIGN_OR_RETURN(QueryResult planned, PlanFresh(q));
+  q.Phase("plan");
+  q.Planned(planned.plan);
 
   // Per-pattern estimate provenance (which statistics source / Table-1
   // formula produced each TP estimate), for the step annotations.
-  std::vector<card::EstimateDetail> details;
   if (state_->estimator != nullptr) {
-    details = state_->estimator->EstimateAllDetailed(bgp, &inferred_anchors);
+    q.details = state_->estimator->EstimateAllDetailed(q.bgp, &q.anchors);
   }
-  trace.AddPhase("estimate", phase.ElapsedMs());
-  phase.Reset();
+  q.Phase("estimate");
 
   // Execute into the BGP count sink: true per-step cardinalities (the
-  // paper's TZ Card ground truth) plus probe/scan counters. A local
-  // resource tracker feeds the trace's resources block (EXPLAIN ANALYZE
-  // always reports resource totals, registry or not).
-  obs::ResourceTracker analyze_tracker;
+  // paper's TZ Card ground truth) plus probe/scan counters.
   phys::ExecOptions eopts = state_->options.exec;
   eopts.trace = &trace.exec;
-  eopts.resources = &analyze_tracker;
+  eopts.resources = q.tracker;
   ASSIGN_OR_RETURN(phys::ExecResult run,
-                   phys::ExecuteBgp(state_->graph, bgp, pplan, eopts));
-  trace.AddPhase("execute", phase.ElapsedMs());
+                   phys::ExecuteBgp(state_->graph, q.bgp, planned.phys, eopts));
+  q.Phase("execute");
   trace.num_results = run.num_results;
   trace.timed_out = run.timed_out;
   trace.cancelled = run.cancelled;
-  trace.resources = analyze_tracker.Snapshot();
+  trace.resources = q.resources.emplace(q.tracker->Snapshot());
   trace.has_resources = true;
-  FillStepTraces(query, bgp, plan, &pplan, details, run.step_cards, &trace,
-                 /*record=*/!run.timed_out);
-  trace.total_ms = total.ElapsedMs();
+  FillStepTraces(q, planned, run.step_cards, /*record=*/!run.timed_out);
+  trace.total_ms = planned.total_ms = q.total.ElapsedMs();
 
   // Live soundness cross-check: a provably-empty verdict that observed any
   // result is an analyzer bug (counted, never silently ignored — and
   // captured as a flight-recorder bundle when the recorder is active).
-  if (check.provably_empty() && run.num_results > 0) {
+  if (q.check.provably_empty() && run.num_results > 0) {
     static obs::Counter* violations =
         obs::MetricsRegistry::Global().GetCounter("static_check.violations");
     violations->Add();
     obs::EventLog& log = obs::EventLog::Global();
     if (log.active()) {
       log.Emit(obs::Event("static_check.violation")
-                   .Str("rule", check.rule)
+                   .Str("rule", q.check.rule)
                    .Uint("results", run.num_results));
     }
     if (state_->flight != nullptr) {
-      state_->flight->Record(
-          "static-violation",
-          BuildFlightBundle("static-violation", sparql, "ok", plan, pplan,
-                            trace.total_ms, run.num_results, &trace,
-                            &trace.resources, /*cache_template=*/"",
-                            state_->plan_cache.get(), /*request_id=*/0,
-                            /*batch_id=*/0, /*slot=*/0));
+      state_->flight->Record("static-violation",
+                             FlightBundle("static-violation", "ok", q, planned,
+                                          run.num_results));
     }
   }
 
   analyzes->Add();
-  out.text = trace.ToTable();
   // Lint and checker findings ride along so .analyze shows why a query was
   // empty or needed a Cartesian product.
-  analysis::Diagnostics lint =
-      analysis::QueryLint(state_->gs, state_->graph.dict()).Lint(query, bgp);
-  if (!lint.empty()) out.text += analysis::ToText(lint);
-  if (!check.diagnostics.empty()) {
-    out.text += analysis::ToText(check.diagnostics);
-  }
+  out.text = trace.ToTable() +
+             analysis::ToText(analysis::QueryLint(state_->gs, state_->graph.dict())
+                                  .Lint(q.query, q.bgp)) +
+             analysis::ToText(q.check.diagnostics);
   out.json = trace.ToJson();
   return out;
 }

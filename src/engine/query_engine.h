@@ -256,44 +256,54 @@ class QueryEngine {
 
   QueryEngine() = default;
 
+  /// One query's passage through the engine (query_engine.cc): trace and
+  /// phase clock, registry record and resource tracker, caller identity,
+  /// the parsed front, the static verdict, and the plan-cache template.
+  struct Lifecycle;
+
   /// Execute with caller identity for the registry record; Execute and
   /// ExecuteBatch are thin wrappers.
   Result<QueryResult> ExecuteInternal(std::string_view sparql,
                                       obs::QueryTrace* trace,
                                       const ExecContext* ctx) const;
 
-  /// `inferred` optionally carries the static checker's proven class
-  /// anchors, merged into the estimator's rdf:type anchors for this query.
-  /// `corrections` (per instance pattern, parallel to bgp.patterns)
-  /// optionally scales the estimator's cardinalities by feedback-learned
-  /// factors (card::CorrectedProvider); the factors are stamped onto the
-  /// returned plan's correction_factors.
-  Result<opt::Plan> PlanQuery(
-      const sparql::EncodedBgp& bgp, obs::PlannerTrace* trace = nullptr,
-      const std::unordered_map<sparql::VarId, rdf::TermId>* inferred = nullptr,
-      const std::vector<double>* corrections = nullptr) const;
+  /// Front half shared by every entry point: parse -> encode -> classify.
+  Status Parse(Lifecycle& q) const;
 
-  /// Annotates `plan` with physical operators (EngineOptions::join_mode)
-  /// and, when verify_plans is set, validates the result against the
-  /// phys.* rule catalog (Internal status on violation — a planner bug).
-  Result<phys::PhysicalPlan> PlanPhysicalFor(const sparql::EncodedBgp& bgp,
-                                             const opt::Plan& plan) const;
+  /// EngineOptions::static_check: the ShapeChecker verdict, the full lint on
+  /// a provably-empty one, and (infer_constraints) the inferred anchors.
+  void CheckStatic(Lifecycle& q) const;
+
+  /// Logical plan under q's anchors and feedback `corrections` (per instance
+  /// pattern, stamped onto correction_factors), then its physical operators,
+  /// into out->plan / out->phys. Internal status on a verify_plans violation.
+  Status Plan(const Lifecycle& q, const std::vector<double>& corrections,
+              QueryResult* out) const;
+
+  /// Parse, CheckStatic and a Plan under the template's feedback corrections
+  /// without cache lookup or insert: what Explain and ExplainAnalyze show.
+  Result<QueryResult> PlanFresh(Lifecycle& q) const;
+
+  /// Execute's one finish path, executed or short-circuited: counters, trace
+  /// and steps, feedback, registry Complete, flight triggers, query.finish.
+  void Finish(Lifecycle& q, QueryResult& result, const char* outcome,
+              uint64_t num_results) const;
+
+  /// Self-contained flight-recorder bundle (ids, query, plans, trace,
+  /// resources, cache state, build info): a view of `q` and `result`.
+  std::string FlightBundle(const char* trigger, const char* outcome,
+                           const Lifecycle& q, const QueryResult& result,
+                           uint64_t num_results) const;
 
   /// Checker over this engine's statistics (shapes only when present).
   analysis::ShapeChecker Checker() const;
 
-  /// Builds trace->steps from the plan, the per-pattern estimate details,
-  /// and the executor's measured per-step cardinalities (also classifying
-  /// each step's join type), then records the steps into the ledger when
-  /// `record` is set and emits per-step events.
-  /// `pplan` (may be null for short-circuited paths) stamps each step's
-  /// physical operator and build/probe estimates onto the trace.
-  void FillStepTraces(const sparql::ParsedQuery& query,
-                      const sparql::EncodedBgp& bgp, const opt::Plan& plan,
-                      const phys::PhysicalPlan* pplan,
-                      const std::vector<card::EstimateDetail>& details,
+  /// Builds q.trace->steps from the planned query and the measured per-step
+  /// cardinalities, records them into the ledger when `record` is set, and
+  /// emits per-step events.
+  void FillStepTraces(const Lifecycle& q, const QueryResult& planned,
                       const std::vector<uint64_t>& true_cards,
-                      obs::QueryTrace* trace, bool record) const;
+                      bool record) const;
 
   std::unique_ptr<State> state_;
 };

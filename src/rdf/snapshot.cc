@@ -31,12 +31,12 @@ class Reader {
     return Status::OK();
   }
   Result<uint32_t> ReadU32() {
-    uint32_t v;
+    uint32_t v = 0;
     RETURN_NOT_OK(ReadBytes(&v, sizeof(v)));
     return v;
   }
   Result<uint64_t> ReadU64() {
-    uint64_t v;
+    uint64_t v = 0;
     RETURN_NOT_OK(ReadBytes(&v, sizeof(v)));
     return v;
   }

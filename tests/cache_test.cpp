@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <random>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -409,6 +410,19 @@ std::string SkewedData() {
   return data;
 }
 
+// The pattern texts of EXPLAIN's numbered plan steps, in order.
+std::vector<std::string> ExplainStepPatterns(const std::string& text) {
+  std::vector<std::string> out;
+  std::istringstream in(text);
+  for (std::string line; std::getline(in, line);) {
+    const std::string prefix = "  " + std::to_string(out.size() + 1) + ". ";
+    if (line.rfind(prefix, 0) != 0) continue;
+    line = line.substr(prefix.size());
+    out.push_back(line.substr(0, line.find("   [")));
+  }
+  return out;
+}
+
 TEST(FeedbackCorrectionTest, LearnedFactorsFlipPlanWithoutChangingResults) {
   rdf::Graph g;
   ASSERT_TRUE(rdf::ParseTurtle(SkewedData(), &g).ok());
@@ -455,6 +469,23 @@ TEST(FeedbackCorrectionTest, LearnedFactorsFlipPlanWithoutChangingResults) {
   auto ex = eng.Explain(q);
   ASSERT_TRUE(ex.ok());
   EXPECT_NE(ex->find("est: corrected"), std::string::npos) << *ex;
+
+  // Explain, ExplainAnalyze and Execute all plan under the same learned
+  // factors, so they agree on the flipped join order.
+  auto an = eng.ExplainAnalyze(q);
+  ASSERT_TRUE(an.ok()) << an.status().ToString();
+  EXPECT_TRUE(an->trace.est_corrected);
+  auto run = eng.Execute(q);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  EXPECT_EQ(run->plan.order, orders[3]);
+  std::vector<uint32_t> analyzed_order;
+  std::vector<std::string> analyzed_patterns;
+  for (const obs::StepTrace& step : an->trace.steps) {
+    analyzed_order.push_back(step.pattern);
+    analyzed_patterns.push_back(step.pattern_text);
+  }
+  EXPECT_EQ(analyzed_order, run->plan.order);
+  EXPECT_EQ(ExplainStepPatterns(*ex), analyzed_patterns) << *ex;
 }
 
 TEST_F(CacheEngineFixture, ExplainReportsCacheState) {

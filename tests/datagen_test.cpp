@@ -223,6 +223,21 @@ TEST(YagoTest, MultitypedActors) {
   }
 }
 
+// Below ~250 entities the anchor classes (at least 50 cities, always 60
+// countries) outnumber the requested entities; the tail must come out empty
+// instead of wrapping around.
+TEST(YagoTest, TinyGraphHasNoTail) {
+  YagoOptions opts;
+  opts.num_entities = 60;
+  rdf::Graph g = GenerateYago(opts);
+  EXPECT_GT(g.NumTriples(), 0u);
+  auto country = g.dict().FindIri(std::string(kSchemaNs) + "Country");
+  ASSERT_TRUE(country.has_value());
+  stats::GlobalStats gs = stats::GlobalStats::Compute(g);
+  EXPECT_EQ(gs.ClassCount(*country), 60u);
+  EXPECT_FALSE(g.dict().FindIri(std::string(kYagoNs) + "T0").has_value());
+}
+
 TEST(YagoTest, EveryYagoQueryMatches) {
   YagoOptions opts;
   opts.num_entities = 12000;

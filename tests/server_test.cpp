@@ -2,7 +2,7 @@
 // functions + socket server), the AdmissionController's cap / queue / shed
 // semantics, and the SparqlServer serving plane end-to-end over real
 // sockets — /sparql result rendering, /metrics Prometheus exposition,
-// 503 load shedding, the slow-query JSONL log, and EventLog request-id
+// 503 load shedding, flight-recorder slow capture, and EventLog request-id
 // correlation between http.request.* and the batch.* events a request
 // causes, under concurrent clients.
 #include <gtest/gtest.h>
@@ -17,7 +17,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <map>
 #include <set>
 #include <string>
@@ -615,33 +614,61 @@ TEST_F(SparqlServerFixture, OverloadShedsWith503AndRetryAfter) {
   EXPECT_EQ(ok.status, 200);
 }
 
-TEST_F(SparqlServerFixture, SlowQueryLogCapturesIdsQueryAndTrace) {
-  std::string path = ::testing::TempDir() + "/slow_queries_test.jsonl";
-  std::remove(path.c_str());
-  SparqlServerOptions opts = ServerOptions();
-  opts.slow_query_ms = 0;  // everything is "slow": deterministic capture
-  opts.slow_query_log = path;
-  SparqlServer srv(engine_, opts);
+// --- Flight-recorder slow capture -------------------------------------------
+
+// Registered as its own ctest entry under SHAPESTATS_FLIGHT_SLOW_MS=0 (see
+// tests/CMakeLists.txt), so every query trips the latency trigger and no
+// other test runs with the recorder armed.
+class SparqlServerFlightTest : public SparqlServerFixture {
+ protected:
+  // The newest "slow" bundle stamped with `request_id`, or "" when none.
+  static std::string SlowBundleFor(const std::string& request_id) {
+    for (const obs::FlightBundle& b : engine_->flight_recorder()->Bundles()) {
+      if (b.trigger == "slow" &&
+          b.json.find("\"request_id\":" + request_id + ",") !=
+              std::string::npos) {
+        return b.json;
+      }
+    }
+    return "";
+  }
+};
+
+TEST_F(SparqlServerFlightTest, SlowBundlesCarryIdsQueryCardinalities) {
+  const obs::FlightRecorder* fr = engine_->flight_recorder();
+  if (fr == nullptr || fr->slow_ms() != 0) {
+    GTEST_SKIP() << "needs SHAPESTATS_FLIGHT_SLOW_MS=0 (set by ctest)";
+  }
+  SparqlServer srv(engine_, ServerOptions());
   ASSERT_TRUE(srv.Start().ok());
-  ASSERT_TRUE(srv.slow_query_log().enabled());
   ClientResponse resp =
       Get(srv.port(), "/sparql?query=" + UrlEncode(kLubmQuery));
   ASSERT_EQ(resp.status, 200);
-  EXPECT_GE(srv.slow_query_log().entries(), 1u);
-  srv.Stop();
+  std::string bundle = SlowBundleFor(resp.Header("x-request-id"));
+  ASSERT_FALSE(bundle.empty());
+  EXPECT_NE(bundle.find("\"batch_id\":" + resp.Header("x-batch-id")),
+            std::string::npos);
+  EXPECT_NE(bundle.find("\"query\":"), std::string::npos);
+  EXPECT_NE(bundle.find("FullProfessor"), std::string::npos);
+  EXPECT_NE(bundle.find("\"est_card\""), std::string::npos) << bundle;
+  EXPECT_NE(bundle.find("\"true_card\""), std::string::npos);
+  EXPECT_NE(bundle.find("\"resources\":"), std::string::npos);
 
-  std::ifstream in(path);
-  std::string line;
-  ASSERT_TRUE(std::getline(in, line));
-  EXPECT_NE(line.find("\"request_id\":" + resp.Header("x-request-id")),
-            std::string::npos);
-  EXPECT_NE(line.find("\"batch_id\":" + resp.Header("x-batch-id")),
-            std::string::npos);
-  EXPECT_NE(line.find("\"query\":"), std::string::npos);
-  EXPECT_NE(line.find("FullProfessor"), std::string::npos);
-  EXPECT_NE(line.find("\"trace\":"), std::string::npos);
-  EXPECT_NE(line.find("\"ms\":"), std::string::npos);
-  std::remove(path.c_str());
+  // A statically-empty request is answered without executing, yet passes
+  // the same triggers as an executed one.
+  const char kEmptyQuery[] =
+      "PREFIX ub: <http://swat.cse.lehigh.edu/onto/univ-bench.owl#>\n"
+      "SELECT ?x WHERE { ?x ub:holdsPatentOn ?p }";
+  ClientResponse empty =
+      Get(srv.port(), "/sparql?query=" + UrlEncode(kEmptyQuery));
+  ASSERT_EQ(empty.status, 200);
+  EXPECT_EQ(empty.Header("x-static-verdict"), "empty");
+  std::string empty_bundle = SlowBundleFor(empty.Header("x-request-id"));
+  ASSERT_FALSE(empty_bundle.empty());
+  EXPECT_NE(empty_bundle.find("\"outcome\":\"static-empty\""),
+            std::string::npos)
+      << empty_bundle;
+  EXPECT_NE(empty_bundle.find("holdsPatentOn"), std::string::npos);
 }
 
 // --- EventLog request-id correlation (satellite) ---------------------------
