@@ -66,10 +66,6 @@ struct CachedPlan {
   opt::Plan plan;
   /// Physical plan in canonical space, *before* any ASK/LIMIT downgrade.
   phys::PhysicalPlan phys;
-  /// Correction factors (per canonical pattern) in force when the plan was
-  /// built — needed to express later observations against the uncorrected
-  /// estimate, and surfaced by EXPLAIN as "est: corrected".
-  std::vector<double> corrections;
   /// FeedbackStore::Version at plan time; a newer version invalidates.
   uint64_t feedback_version = 0;
   /// PlanCache::stats_epoch at plan time.

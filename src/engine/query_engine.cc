@@ -70,13 +70,12 @@ std::string JoinOrder(const std::vector<uint32_t>& order) {
 }
 
 /// Feedback-learned correction factors in force for one query's template,
-/// per canonical pattern and mapped into instance pattern numbering (both
-/// empty when every factor is 1, the cache is off, or the query bypasses
-/// it). The version is read before the factors so a concurrent publication
-/// can only make a cache entry look stale (a harmless re-plan), never fresh.
+/// mapped from canonical into instance pattern numbering (empty when every
+/// factor is 1, the cache is off, or the query bypasses it). The version is
+/// read before the factors so a concurrent publication can only make a
+/// cache entry look stale (a harmless re-plan), never fresh.
 struct Corrections {
   uint64_t version = 0;
-  std::vector<double> canon;
   std::vector<double> instance;
 };
 
@@ -86,15 +85,13 @@ Corrections FeedbackCorrections(const cache::PlanCache* pcache,
   Corrections c;
   if (pcache == nullptr || !tmpl.cacheable) return c;
   c.version = pcache->feedback().Version(tmpl.hash);
-  c.canon = pcache->feedback().Factors(tmpl.hash, num_patterns);
-  if (std::all_of(c.canon.begin(), c.canon.end(),
+  const std::vector<double> canon =
+      pcache->feedback().Factors(tmpl.hash, num_patterns);
+  if (std::all_of(canon.begin(), canon.end(),
                   [](double f) { return f == 1.0; })) {
-    c.canon.clear();
     return c;
   }
-  for (uint32_t canon : tmpl.instance_to_canon) {
-    c.instance.push_back(c.canon[canon]);
-  }
+  for (uint32_t i : tmpl.instance_to_canon) c.instance.push_back(canon[i]);
   return c;
 }
 
@@ -591,7 +588,7 @@ Result<QueryResult> QueryEngine::ExecuteInternal(std::string_view sparql,
                    .Uint("findings", q.check.diagnostics.size())
                    .Uint("inferred", q.check.inferred.size()));
     }
-    Corrections corrections =
+    const Corrections corrections =
         FeedbackCorrections(pcache, q.tmpl, q.bgp.patterns.size());
     if (!q.ShortCircuits()) {
       RETURN_NOT_OK(Plan(q, corrections.instance, &result));
@@ -613,7 +610,6 @@ Result<QueryResult> QueryEngine::ExecuteInternal(std::string_view sparql,
       }
       entry->plan = cache::PlanToCanonical(result.plan, q.tmpl);
       entry->phys = cache::PhysToCanonical(result.phys, q.tmpl);
-      entry->corrections = std::move(corrections.canon);
       entry->feedback_version = corrections.version;
       pcache->Put(q.tmpl.key, std::move(entry));
     }
@@ -701,11 +697,17 @@ Result<QueryResult> QueryEngine::ExecuteInternal(std::string_view sparql,
     }
   }
   uint64_t num_results = table.rows.size();
-  if (q.query.is_ask) {
-    result.ask = num_results > 0;
-  } else if (q.query.count_aggregate) {
-    // COUNT(*) counts solutions (bag semantics).
-    result.count = num_results = table.bgp_matches;
+  if (q.query.is_ask || q.query.count_aggregate) {
+    if (q.query.is_ask) {
+      result.ask = num_results > 0;
+    } else {
+      // COUNT(*) counts solutions (bag semantics).
+      result.count = num_results = table.bgp_matches;
+    }
+    // The answer is a boolean or a count; the table still reports whether
+    // execution was cut short.
+    result.table.timed_out = table.timed_out;
+    result.table.cancelled = table.cancelled;
   } else {
     result.table = std::move(table);
   }

@@ -149,26 +149,33 @@ MetricsRegistry& MetricsRegistry::Global() {
   return *registry;
 }
 
+void AppendJsonEscaped(std::string* out, std::string_view s) {
+  size_t run = 0;  // start of the pending unescaped run
+  for (size_t i = 0; i < s.size(); ++i) {
+    const unsigned char c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out->append(s, run, i - run);
+    run = i + 1;
+    switch (c) {
+      case '"': *out += "\\\""; break;
+      case '\\': *out += "\\\\"; break;
+      case '\n': *out += "\\n"; break;
+      case '\r': *out += "\\r"; break;
+      case '\t': *out += "\\t"; break;
+      default: {
+        char buf[8];
+        std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+        *out += buf;
+      }
+    }
+  }
+  out->append(s, run, s.size() - run);
+}
+
 std::string JsonEscape(const std::string& s) {
   std::string out;
   out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
+  AppendJsonEscaped(&out, s);
   return out;
 }
 

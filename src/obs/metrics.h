@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/thread_annotations.h"
@@ -160,6 +161,10 @@ class MetricsRegistry {
 
 /// Escapes a string for embedding in JSON output (quotes not included).
 std::string JsonEscape(const std::string& s);
+
+/// Appends `s` escaped as JsonEscape does, copying runs that need no
+/// escaping whole.
+void AppendJsonEscaped(std::string* out, std::string_view s);
 
 /// Copies the shared util::ThreadPool's activity counters into the global
 /// registry: `pool.tasks_executed` and `pool.peak_queue_depth` (published as

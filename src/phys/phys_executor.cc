@@ -1,12 +1,12 @@
 #include "phys/phys_executor.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <limits>
 #include <numeric>
 #include <optional>
 #include <span>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -71,11 +71,91 @@ bool HasVar(const EncodedPattern& tp, sparql::VarId v) {
 }
 
 // One (left row, matching triple) pair of a merge/hash step, held until the
-// canonical-order sort restores the depth-first emission order.
+// commit restores the depth-first emission order.
 struct MatchPair {
   uint32_t left;
   Triple t;
 };
+
+template <typename T>
+using Counted = std::vector<T, obs::CountingAllocator<T>>;
+
+// The hash step's build side: an insertion-ordered multimap from join key
+// to row or span indexes. Open addressing maps each key to a (head, tail)
+// slot, and one `next` link per index chains a key's indexes in the order
+// they were added. The slot table is sized once for `n` keys at a load of
+// at most 1/2, so it never rehashes. Both arrays are allocated
+// through the query's CountingAllocator, so the account charges their
+// real bytes.
+class KeyIndex {
+ public:
+  static constexpr uint32_t kEnd = std::numeric_limits<uint32_t>::max();
+
+  // Indexes added later must be below `n`.
+  KeyIndex(size_t n, obs::MemoryAccount* account)
+      : slots_(std::bit_ceil(std::max<size_t>(2 * n, 2)), Slot{},
+               obs::CountingAllocator<Slot>(account)),
+        next_(n, kEnd, obs::CountingAllocator<uint32_t>(account)),
+        shift_(64 - std::countr_zero(slots_.size())) {}
+
+  // Appends `idx` to `key`'s chain.
+  void Add(TermId key, uint32_t idx) {
+    Slot& slot = slots_[SlotOf(key)];
+    if (slot.head == kEnd) {
+      slot = Slot{key, idx, idx};
+    } else {
+      next_[slot.tail] = idx;
+      slot.tail = idx;
+    }
+  }
+
+  // The first index under `key`, or kEnd.
+  uint32_t First(TermId key) const { return slots_[SlotOf(key)].head; }
+  // The index added under the same key after `idx`, or kEnd.
+  uint32_t Next(uint32_t idx) const { return next_[idx]; }
+
+ private:
+  struct Slot {
+    TermId key = 0;
+    uint32_t head = kEnd;  // kEnd marks an empty slot
+    uint32_t tail = kEnd;
+  };
+
+  // The slot holding `key`, or the empty slot where it belongs: Fibonacci
+  // hashing into the power-of-two table, then linear probing.
+  size_t SlotOf(TermId key) const {
+    const size_t mask = slots_.size() - 1;
+    size_t at = static_cast<size_t>(
+        (uint64_t{key} * 0x9E3779B97F4A7C15ull) >> shift_);
+    while (slots_[at].head != kEnd && slots_[at].key != key) {
+      at = (at + 1) & mask;
+    }
+    return at;
+  }
+
+  Counted<Slot> slots_;
+  Counted<uint32_t> next_;
+  int shift_;  // 64 - log2(slots_.size())
+};
+
+// True when a span sorted by the free components `span_order` lists one
+// left row's matches out of the INLJ probe's `probe_order`: the probe binds
+// more positions than the span's constants, and the span order restricted
+// to the probe's free components is not the probe's order. Of all
+// Graph::MatchOrder signatures this holds only for a join on the predicate
+// of a pattern with neither subject nor object bound: the SPO span lists
+// (s, o), the POS probe (o, s).
+bool OrderDisagrees(const std::vector<int>& span_order,
+                    const std::vector<int>& probe_order) {
+  std::vector<int> restricted;
+  for (int c : span_order) {
+    if (std::find(probe_order.begin(), probe_order.end(), c) !=
+        probe_order.end()) {
+      restricted.push_back(c);
+    }
+  }
+  return restricted != probe_order;
+}
 
 // The sorted contiguous index run backing the right side of a merge join on
 // component `join_pos`, selected from the pattern's constants alone (see
@@ -112,13 +192,11 @@ enum class Sink : uint8_t {
 
 class Executor {
  public:
-  // Binding tables and match-pair staging are allocated through a
-  // CountingAllocator charging the query's MemoryAccount, so build bytes and
-  // the peak per-query footprint are measured where they are spent. A null
-  // account makes the allocator a passthrough.
-  template <typename T>
-  using Counted = std::vector<T, obs::CountingAllocator<T>>;
-
+  // Binding tables, match-pair staging, the commit's counting sort and
+  // key indexes are Counted vectors, allocated through a CountingAllocator
+  // charging the query's MemoryAccount, so build bytes and the peak
+  // per-query footprint are measured where they are spent. A null account
+  // makes the allocator a passthrough.
   Executor(const rdf::Graph& graph, const ParsedQuery* query,
            const EncodedBgp& bgp, const PhysicalPlan& pplan,
            const ExecOptions& options, Sink sink)
@@ -404,7 +482,9 @@ class Executor {
         }
       }
     }
-    if (!sorted) NormalizeAndCommit(k, tp, &pairs);
+    // A run lists one join value's matches in probe order (DESIGN.md §9),
+    // so grouping by left row is all the commit needs.
+    if (!sorted) Commit(k, tp, nullptr, &pairs);
   }
 
   void HashStep(size_t k, const PhysicalStep& st, const EncodedPattern& tp) {
@@ -413,37 +493,24 @@ class Executor {
     ++probes_;
     if (trace_ != nullptr) ++trace_->step_probes[k];
     if (Tick(k)) return;
-    const std::span<const Triple> span =
-        graph_.Match(ConstOpt(tp.s), ConstOpt(tp.p), ConstOpt(tp.o));
+    const OptId cs = ConstOpt(tp.s), cp = ConstOpt(tp.p), co = ConstOpt(tp.o);
+    const std::span<const Triple> span = graph_.Match(cs, cp, co);
 
-    // Buckets hold indexes in insertion order (span order / row order), so
-    // the pair set — and after the canonical sort, the output — is fully
-    // deterministic regardless of hash-table iteration order.
-    //
-    // The hash tables are charged as a per-entry estimate (key + bucket
-    // vector header + node pointer + one index slot) scoped to the build:
-    // std::unordered_map has no allocator hook comparable to the binding
-    // tables', and the estimate keeps build-side bytes visible in the
-    // account at the moment they matter — during the join.
-    constexpr size_t kHtEntryBytes = sizeof(TermId) +
-                                     sizeof(std::vector<uint32_t>) +
-                                     sizeof(void*) + sizeof(uint32_t);
+    // The index chains each key's indexes in insertion order (span order /
+    // row order), so the pair set is fully deterministic.
     Counted<MatchPair> pairs{obs::CountingAllocator<MatchPair>(account_)};
     if (st.build_right) {
-      obs::ScopedCharge ht_charge(account_, span.size() * kHtEntryBytes);
-      std::unordered_map<TermId, std::vector<uint32_t>> ht;
-      ht.reserve(span.size());
+      KeyIndex index(span.size(), account_);
       for (size_t j = 0; j < span.size(); ++j) {
         ++scanned_;
         if (trace_ != nullptr) ++trace_->step_rows_scanned[k];
         if (Tick(k)) return;
-        ht[Comp(span[j], jp)].push_back(static_cast<uint32_t>(j));
+        index.Add(Comp(span[j], jp), static_cast<uint32_t>(j));
       }
       for (size_t i = 0; i < in_count_; ++i) {
         if (Tick(k)) return;
-        auto it = ht.find(in_[i * width_ + jv]);
-        if (it == ht.end()) continue;
-        for (uint32_t j : it->second) {
+        for (uint32_t j = index.First(in_[i * width_ + jv]);
+             j != KeyIndex::kEnd; j = index.Next(j)) {
           ++scanned_;
           if (trace_ != nullptr) ++trace_->step_rows_scanned[k];
           if (Tick(k)) return;
@@ -454,20 +521,17 @@ class Executor {
         }
       }
     } else {
-      obs::ScopedCharge ht_charge(account_, in_count_ * kHtEntryBytes);
-      std::unordered_map<TermId, std::vector<uint32_t>> ht;
-      ht.reserve(in_count_);
+      KeyIndex index(in_count_, account_);
       for (size_t i = 0; i < in_count_; ++i) {
         if (Tick(k)) return;
-        ht[in_[i * width_ + jv]].push_back(static_cast<uint32_t>(i));
+        index.Add(in_[i * width_ + jv], static_cast<uint32_t>(i));
       }
       for (size_t j = 0; j < span.size(); ++j) {
         ++scanned_;
         if (trace_ != nullptr) ++trace_->step_rows_scanned[k];
         if (Tick(k)) return;
-        auto it = ht.find(Comp(span[j], jp));
-        if (it == ht.end()) continue;
-        for (uint32_t i : it->second) {
+        for (uint32_t i = index.First(Comp(span[j], jp)); i != KeyIndex::kEnd;
+             i = index.Next(i)) {
           if (ProduceCheck(k, i, tp, span[j])) {
             if (timed_out_) return;
             pairs.push_back({i, span[j]});
@@ -475,33 +539,54 @@ class Executor {
         }
       }
     }
-    NormalizeAndCommit(k, tp, &pairs);
+    const std::vector<int> probe_order = ProbeOrder(tp);
+    const std::vector<int> span_order = rdf::Graph::MatchOrder(
+        cs.has_value(), cp.has_value(), co.has_value());
+    Commit(k, tp, OrderDisagrees(span_order, probe_order) ? &probe_order
+                                                          : nullptr,
+           &pairs);
   }
 
-  // Sorts match pairs into the depth-first emission order — (left row
-  // index, then the pattern's free components in Graph::MatchOrder
-  // sequence) — and passes them on. A component counts as bound when it is
-  // a constant or holds a prefix-bound variable; two distinct triples of
-  // one pair group always differ on a free component, so the order is
-  // total.
-  void NormalizeAndCommit(size_t k, const EncodedPattern& tp,
-                          Counted<MatchPair>* pairs) {
-    const TermId* row0 = in_.data();  // every left row binds the same vars
+  // The free-component order of the INLJ probe at step k:
+  // Graph::MatchOrder over the positions holding a constant or a
+  // prefix-bound variable (every left row binds the same variables).
+  std::vector<int> ProbeOrder(const EncodedPattern& tp) const {
+    const TermId* row0 = in_.data();
     auto bound = [row0](const EncodedTerm& e) {
       return !e.is_var() || row0[e.id] != rdf::kInvalidTermId;
     };
-    const std::vector<int> ord =
-        rdf::Graph::MatchOrder(bound(tp.s), bound(tp.p), bound(tp.o));
-    std::sort(pairs->begin(), pairs->end(),
-              [&ord](const MatchPair& a, const MatchPair& b) {
-                if (a.left != b.left) return a.left < b.left;
-                for (int c : ord) {
-                  const TermId ca = Comp(a.t, c);
-                  const TermId cb = Comp(b.t, c);
-                  if (ca != cb) return ca < cb;
-                }
-                return false;
-              });
+    return rdf::Graph::MatchOrder(bound(tp.s), bound(tp.p), bound(tp.o));
+  }
+
+  // Passes match pairs on in the depth-first emission order: by left row
+  // index, then by the pattern's free components in `probe_order` (see
+  // ProbeOrder). Every producer lists one left row's pairs in the order of
+  // its index run, so a stable counting sort on the left row restores the
+  // emission order, and the pairs of one left row need sorting only when
+  // that run's order disagrees with the probe's — the caller passes
+  // `sort_order` then, null otherwise. Two distinct triples of one left
+  // row always differ on a free component, so that order is total.
+  void Commit(size_t k, const EncodedPattern& tp,
+              const std::vector<int>* sort_order, Counted<MatchPair>* pairs) {
+    GroupByLeft(pairs);
+    if (sort_order != nullptr) {
+      auto by_free = [sort_order](const MatchPair& a, const MatchPair& b) {
+        for (int c : *sort_order) {
+          const TermId ca = Comp(a.t, c);
+          const TermId cb = Comp(b.t, c);
+          if (ca != cb) return ca < cb;
+        }
+        return false;
+      };
+      for (auto it = pairs->begin(); it != pairs->end();) {
+        const uint32_t left = it->left;
+        auto end = std::find_if(it, pairs->end(), [left](const MatchPair& p) {
+          return p.left != left;
+        });
+        std::sort(it, end, by_free);
+        it = end;
+      }
+    }
     for (const MatchPair& mp : *pairs) {
       LocalBind binds[3];
       int nb = 0;
@@ -510,6 +595,26 @@ class Executor {
       Pass(k, lrow, binds, nb);
       if (Halted()) return;
     }
+  }
+
+  // Stable counting sort of match pairs on their left row index; nothing
+  // to do when they already come grouped in row order, as a build-right
+  // hash emits them.
+  void GroupByLeft(Counted<MatchPair>* pairs) const {
+    if (std::is_sorted(pairs->begin(), pairs->end(),
+                       [](const MatchPair& a, const MatchPair& b) {
+                         return a.left < b.left;
+                       })) {
+      return;
+    }
+    Counted<uint32_t> start(in_count_ + 1, 0,
+                            obs::CountingAllocator<uint32_t>(account_));
+    for (const MatchPair& mp : *pairs) ++start[mp.left + 1];
+    std::partial_sum(start.begin(), start.end(), start.begin());
+    Counted<MatchPair> grouped(pairs->size(), MatchPair{},
+                               obs::CountingAllocator<MatchPair>(account_));
+    for (const MatchPair& mp : *pairs) grouped[start[mp.left]++] = mp;
+    pairs->swap(grouped);
   }
 
   // ---- row plumbing ------------------------------------------------------

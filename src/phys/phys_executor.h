@@ -8,17 +8,19 @@
 // materialized), so an all-INLJ plan allocates no binding table. A merge
 // or hash step is a pipeline breaker: the segment in front of it appends
 // its rows to a binding table, the step joins that table with a sorted
-// index run (merge) or a hash table (hash), and each of its output rows
-// drives the next depth-first segment.
+// index run (merge) or a flat key index (hash), and each of its output
+// rows drives the next depth-first segment.
 //
 // Result contract: every well-formed physical plan over the same join
 // order yields the same rows in the same order, the same per-step
 // cardinalities and the same probe/scan counts as the all-INLJ plan.
-// Merge and hash steps generate (left row, triple) match pairs and
-// restore the canonical depth-first order before passing them on: pairs
-// are sorted by (left row index, free pattern components in
-// Graph::MatchOrder sequence), which is exactly the order the INLJ probe
-// would have emitted them in (see DESIGN.md §9 for the argument).
+// Merge and hash steps generate (left row, triple) match pairs and pass
+// them on in the canonical depth-first order — (left row index, free
+// pattern components in the INLJ probe's Graph::MatchOrder sequence): a
+// stable counting sort groups the pairs by left row, and each group
+// already comes in probe order except for a hash join on the predicate of
+// a pattern with neither subject nor object bound, whose groups are
+// sorted (see DESIGN.md §9 for the argument).
 //
 // Sinks. The last segment ends in one of three sinks: the BGP count
 // (ExecuteBgp: no filters, per-step cardinalities), COUNT(*) (filtered

@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <string_view>
 #include <utility>
+#include <vector>
 
 #include "obs/build_info.h"
 #include "obs/chrome_trace.h"
@@ -29,25 +30,43 @@ std::string JsonError(const std::string& message) {
   return "{\"error\":" + JsonStr(message) + "}\n";
 }
 
-/// One solution term in SPARQL 1.1 Query Results JSON form.
-std::string TermToJson(const rdf::Term& term) {
+void AppendJsonStr(std::string* out, std::string_view s) {
+  out->push_back('"');
+  obs::AppendJsonEscaped(out, s);
+  out->push_back('"');
+}
+
+/// Appends one solution term in SPARQL 1.1 Query Results JSON form.
+void AppendTerm(std::string* out, const rdf::Term& term) {
   switch (term.kind) {
     case rdf::TermKind::kIri:
-      return "{\"type\":\"uri\",\"value\":" + JsonStr(term.lexical) + "}";
+      *out += "{\"type\":\"uri\",\"value\":";
+      break;
     case rdf::TermKind::kBlank:
-      return "{\"type\":\"bnode\",\"value\":" + JsonStr(term.lexical) + "}";
-    case rdf::TermKind::kLiteral: {
-      std::string out = "{\"type\":\"literal\",\"value\":" + JsonStr(term.lexical);
-      if (!term.datatype.empty()) out += ",\"datatype\":" + JsonStr(term.datatype);
-      if (!term.lang.empty()) out += ",\"xml:lang\":" + JsonStr(term.lang);
-      return out + "}";
+      *out += "{\"type\":\"bnode\",\"value\":";
+      break;
+    case rdf::TermKind::kLiteral:
+      *out += "{\"type\":\"literal\",\"value\":";
+      break;
+  }
+  AppendJsonStr(out, term.lexical);
+  if (term.is_literal()) {
+    if (!term.datatype.empty()) {
+      *out += ",\"datatype\":";
+      AppendJsonStr(out, term.datatype);
+    }
+    if (!term.lang.empty()) {
+      *out += ",\"xml:lang\":";
+      AppendJsonStr(out, term.lang);
     }
   }
-  return "{}";
+  out->push_back('}');
 }
 
 /// Renders a QueryResult as SPARQL 1.1 Query Results JSON. ASK queries get
 /// the boolean form; COUNT(*) is rendered as a single integer binding.
+/// Solution rows are written into one string: each variable's `"name":`
+/// key is escaped once per response, and term strings are escaped in place.
 std::string ResultToJson(const engine::QueryResult& result,
                          const rdf::TermDictionary& dict, uint64_t max_rows,
                          uint64_t* rows_rendered,
@@ -75,9 +94,14 @@ std::string ResultToJson(const engine::QueryResult& result,
   }
   const phys::ResultTable& table = result.table;
   std::string out = "{\"head\":{\"vars\":[";
+  std::vector<std::string> keys;  // `"name":` per column
+  keys.reserve(table.var_names.size());
   for (size_t i = 0; i < table.var_names.size(); ++i) {
     if (i) out += ",";
-    out += JsonStr(table.var_names[i]);
+    std::string key;
+    AppendJsonStr(&key, table.var_names[i]);
+    out += key;
+    keys.push_back(std::move(key) + ":");
   }
   out += "]},\"results\":{\"bindings\":[";
   uint64_t rows = table.rows.size();
@@ -87,12 +111,13 @@ std::string ResultToJson(const engine::QueryResult& result,
     if (r) out += ",";
     out += "{";
     bool first = true;
-    for (size_t c = 0; c < table.var_names.size() && c < table.rows[r].size(); ++c) {
+    for (size_t c = 0; c < keys.size() && c < table.rows[r].size(); ++c) {
       rdf::TermId id = table.rows[r][c];
       if (id == rdf::kInvalidTermId) continue;
       if (!first) out += ",";
       first = false;
-      out += JsonStr(table.var_names[c]) + ":" + TermToJson(dict.term(id));
+      out += keys[c];
+      AppendTerm(&out, dict.term(id));
     }
     out += "}";
   }

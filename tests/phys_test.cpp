@@ -474,6 +474,182 @@ TEST_F(PhysFixture, TimeoutBeforeFinalStepYieldsNoPartialRows) {
 }
 
 // ---------------------------------------------------------------------------
+// Commit paths: hash build-left, hash build-right and unsorted merge each
+// pass their match pairs on in the depth-first order, row for row, as
+// forced INLJ and the reference evaluator see them.
+
+// Thirty students all take ex:c1, and every third also ex:c0 and ex:c2, so
+// rows keyed by student are not sorted by course (c1 is interned first);
+// four professors teach ex:c1; every student `ex:uses` the predicate
+// ex:takes. 1200 filler triples make a full-graph span outlast one work
+// tick.
+std::string CommitPathData() {
+  std::string ttl = "@prefix ex: <http://ex/> .\n";
+  for (int i = 0; i < 30; ++i) {
+    ttl += "ex:s" + std::to_string(i) + " a ex:Student ; ex:takes ex:c1";
+    if (i % 3 == 0) ttl += ", ex:c0, ex:c2";
+    ttl += " ; ex:uses ex:takes .\n";
+  }
+  for (int i = 0; i < 4; ++i) {
+    ttl += "ex:p" + std::to_string(i) + " ex:teaches ex:c1 .\n";
+  }
+  ttl += "ex:p4 ex:teaches ex:c0 .\nex:p5 ex:teaches ex:c2 .\n";
+  for (int i = 0; i < 1200; ++i) {
+    ttl += "ex:f" + std::to_string(i) + " ex:filler ex:g" +
+           std::to_string(i % 7) + " .\n";
+  }
+  return ttl;
+}
+
+enum class Breaker { kHashBuildLeft, kHashBuildRight, kMerge };
+
+class CommitPathTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    ASSERT_TRUE(rdf::ParseTurtle(CommitPathData(), &graph_).ok());
+    graph_.Finalize();
+  }
+
+  void Parse(const std::string& text) {
+    auto q = sparql::ParseQuery("PREFIX ex: <http://ex/>\n" + text);
+    ASSERT_TRUE(q.ok()) << q.status().ToString();
+    query_ = *q;
+    bgp_ = sparql::EncodeBgp(query_, graph_.dict());
+  }
+
+  // Textual join order; every join step runs as `breaker` (or as INLJ
+  // when `breaker` is null). Join steps a merge cannot serve fall back to
+  // INLJ.
+  phys::PhysicalPlan PlanWith(const Breaker* breaker) {
+    opt::Plan plan;
+    for (uint32_t i = 0; i < bgp_.patterns.size(); ++i) plan.order.push_back(i);
+    phys::PlannerOptions opts;
+    opts.mode = breaker == nullptr          ? JoinMode::kInlj
+                : *breaker == Breaker::kMerge ? JoinMode::kMerge
+                                              : JoinMode::kHash;
+    phys::PhysicalPlan pplan = phys::PlanPhysical(bgp_, plan, graph_, opts);
+    for (phys::PhysicalStep& st : pplan.steps) {
+      st.build_right = breaker != nullptr &&
+                       *breaker == Breaker::kHashBuildRight;
+    }
+    return pplan;
+  }
+
+  // Runs the query with every breaker and checks rows, their order, the
+  // match count and per-step cardinalities against forced INLJ, and the
+  // bag against the reference evaluator. The last step must run as hash,
+  // or as `merge_op` in the merge variant. Returns the INLJ rows.
+  std::vector<std::vector<rdf::TermId>> ExpectSameAsInlj(OpKind merge_op) {
+    const phys::PhysicalPlan inlj_plan = PlanWith(nullptr);
+    auto inlj = phys::ExecuteQuery(graph_, query_, bgp_, inlj_plan);
+    auto inlj_cards = phys::ExecuteBgp(graph_, bgp_, inlj_plan);
+    EXPECT_TRUE(inlj.ok() && inlj_cards.ok());
+    if (!inlj.ok() || !inlj_cards.ok()) return {};
+    const reference::Bag truth = reference::Evaluate(graph_, query_);
+    EXPECT_EQ(inlj->var_names, truth.var_names);
+    EXPECT_EQ(reference::AsBag(inlj->rows), truth.rows);
+
+    for (Breaker b : {Breaker::kHashBuildLeft, Breaker::kHashBuildRight,
+                      Breaker::kMerge}) {
+      SCOPED_TRACE(static_cast<int>(b));
+      const phys::PhysicalPlan pplan = PlanWith(&b);
+      const OpKind want = b == Breaker::kMerge ? merge_op : OpKind::kHash;
+      EXPECT_EQ(pplan.steps.back().op, want) << pplan.Summary();
+      auto got = phys::ExecuteQuery(graph_, query_, bgp_, pplan);
+      auto cards = phys::ExecuteBgp(graph_, bgp_, pplan);
+      EXPECT_TRUE(got.ok() && cards.ok());
+      if (!got.ok() || !cards.ok()) continue;
+      EXPECT_FALSE(got->timed_out);
+      EXPECT_EQ(got->var_names, inlj->var_names);
+      EXPECT_EQ(got->rows, inlj->rows);
+      EXPECT_EQ(got->bgp_matches, inlj->bgp_matches);
+      EXPECT_EQ(cards->step_cards, inlj_cards->step_cards);
+    }
+    return inlj->rows;
+  }
+
+  rdf::Graph graph_;
+  sparql::ParsedQuery query_;
+  sparql::EncodedBgp bgp_;
+};
+
+TEST_F(CommitPathTest, ManyLeftRowsSharingOneJoinKey) {
+  // Left rows come in student order with courses c1, c0, c2, c1, ...; 30
+  // of them share ex:c1, which four professors teach. The merge on ?c sees
+  // an unsorted left side.
+  Parse(
+      "SELECT * WHERE { ?x a ex:Student . ?x ex:takes ?c . "
+      "?p ex:teaches ?c }");
+  const auto rows = ExpectSameAsInlj(OpKind::kMerge);
+  EXPECT_EQ(rows.size(), 30u * 4 + 10 + 10);
+
+  // The breaker's output drives a further depth-first segment.
+  Parse(
+      "SELECT ?x ?p ?u WHERE { ?x a ex:Student . ?x ex:takes ?c . "
+      "?p ex:teaches ?c . ?x ex:uses ?u }");
+  EXPECT_EQ(ExpectSameAsInlj(OpKind::kMerge).size(), 30u * 4 + 10 + 10);
+}
+
+TEST_F(CommitPathTest, PredicateJoinOfFullyFreePatternSortsWithinGroups) {
+  // ?p is the only bound position of ?s ?p ?o: the full-graph span lists a
+  // predicate's triples by (s, o), the probe by (o, s). No index run is
+  // sorted by predicate, so the merge variant runs as INLJ.
+  Parse("SELECT * WHERE { ?x ex:uses ?p . ?s ?p ?o }");
+  const auto rows = ExpectSameAsInlj(OpKind::kInlj);
+  EXPECT_EQ(rows.size(), 30u * 50);
+  // Within one left row the objects ascend, so the probe order shows.
+  ASSERT_GE(rows.size(), 50u);
+  EXPECT_NE(rows[0][3], rows[49][3]);
+}
+
+TEST_F(CommitPathTest, IntermediateRowAbortInsideBreakerYieldsNoRows) {
+  Parse(
+      "SELECT * WHERE { ?x a ex:Student . ?x ex:takes ?c . "
+      "?p ex:teaches ?c }");
+  for (Breaker b : {Breaker::kHashBuildLeft, Breaker::kHashBuildRight,
+                    Breaker::kMerge}) {
+    SCOPED_TRACE(static_cast<int>(b));
+    obs::ExecTrace trace;
+    phys::ExecOptions opts;
+    opts.trace = &trace;
+    // Steps 0 and 1 produce 30 + 50 rows; the abort lands in step 2's
+    // pair generation, before its commit.
+    opts.max_intermediate_rows = 100;
+    auto r = phys::ExecuteQuery(graph_, query_, bgp_, PlanWith(&b), opts);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_TRUE(r->timed_out);
+    EXPECT_FALSE(r->cancelled);
+    EXPECT_TRUE(r->rows.empty());
+    EXPECT_EQ(r->bgp_matches, 0u);
+    EXPECT_EQ(trace.step_rows_produced[1], 50u);
+    EXPECT_EQ(trace.step_rows_produced[2], 100u - 80u + 1u);
+  }
+}
+
+TEST_F(CommitPathTest, CancelDuringBuildYieldsNoRows) {
+  // A build-right hash over the full-graph span: the cancel is served on
+  // the first work tick, while the index is being built.
+  Parse("SELECT * WHERE { ?x ex:uses ?p . ?s ?p ?o }");
+  const Breaker b = Breaker::kHashBuildRight;
+  obs::ResourceTracker tracker;
+  tracker.RequestCancel();
+  obs::ExecTrace trace;
+  phys::ExecOptions opts;
+  opts.trace = &trace;
+  opts.resources = &tracker;
+  auto r = phys::ExecuteQuery(graph_, query_, bgp_, PlanWith(&b), opts);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_TRUE(r->timed_out);
+  EXPECT_TRUE(r->cancelled);
+  EXPECT_TRUE(tracker.cancelled());
+  EXPECT_TRUE(r->rows.empty());
+  EXPECT_EQ(trace.step_rows_produced[0], 30u);
+  EXPECT_EQ(trace.step_rows_produced[1], 0u);
+  EXPECT_GT(trace.step_rows_scanned[1], 0u);
+  EXPECT_LT(trace.step_rows_scanned[1], graph_.NumTriples());
+}
+
+// ---------------------------------------------------------------------------
 // Property sweep: random 1-3 pattern BGP / FILTER queries over small
 // generated graphs, in every join mode, against the reference evaluator.
 

@@ -307,6 +307,47 @@ TEST(EngineOptionsTest, GlobalStatsAndTextualModes) {
   EXPECT_EQ(tx_result->table.rows.size(), gs_result->table.rows.size());
 }
 
+// An execution cut short by the intermediate-row budget reports it on
+// every query form, not only on SELECT: the COUNT(*) and ASK answers come
+// with the table's timed_out flag set.
+TEST(EngineAbortTest, CountAndAskReportTruncatedExecution) {
+  datagen::LubmOptions dopts;
+  dopts.universities = 1;
+  engine::EngineOptions opts;
+  opts.exec.max_intermediate_rows = 10;
+  auto engine = engine::QueryEngine::Open(datagen::GenerateLubm(dopts), opts);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  const std::string prefix =
+      "PREFIX ub: <http://swat.cse.lehigh.edu/onto/univ-bench.owl#>\n";
+
+  auto count = engine->Execute(
+      prefix +
+      "SELECT (COUNT(*) AS ?c) WHERE { ?x a ub:GraduateStudent . "
+      "?x ub:advisor ?p }");
+  ASSERT_TRUE(count.ok()) << count.status().ToString();
+  ASSERT_TRUE(count->count.has_value());
+  EXPECT_TRUE(count->table.timed_out);
+  EXPECT_FALSE(count->table.cancelled);
+  EXPECT_TRUE(count->table.rows.empty());
+
+  // No solution exists, so the ASK runs into the budget before answering.
+  auto ask = engine->Execute(
+      prefix +
+      "ASK { ?x a ub:GraduateStudent . ?x ub:advisor ?p . FILTER(?x = ?p) }");
+  ASSERT_TRUE(ask.ok()) << ask.status().ToString();
+  ASSERT_TRUE(ask->ask.has_value());
+  EXPECT_FALSE(*ask->ask);
+  EXPECT_TRUE(ask->table.timed_out);
+  EXPECT_FALSE(ask->table.cancelled);
+
+  // Within budget, neither flag is set.
+  auto small = engine->Execute(
+      prefix + "ASK { ?x a ub:GraduateStudent }");
+  ASSERT_TRUE(small.ok()) << small.status().ToString();
+  EXPECT_TRUE(small->ask.value_or(false));
+  EXPECT_FALSE(small->table.timed_out);
+}
+
 TEST(EngineOpenTest, RejectsUnfinalizedGraph) {
   rdf::Graph g;
   EXPECT_FALSE(engine::QueryEngine::Open(std::move(g)).ok());

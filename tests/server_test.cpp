@@ -27,6 +27,7 @@
 #include "engine/query_engine.h"
 #include "obs/event_log.h"
 #include "obs/metrics.h"
+#include "rdf/graph.h"
 #include "server/http_server.h"
 #include "server/sparql_server.h"
 
@@ -438,6 +439,56 @@ TEST_F(SparqlServerFixture, SparqlGetReturnsSparqlJsonWithIds) {
   // Request/batch correlation ids are surfaced as response headers.
   EXPECT_NE(resp.Header("x-request-id"), "");
   EXPECT_NE(resp.Header("x-batch-id"), "");
+}
+
+// Solution terms are escaped exactly as obs::JsonEscape escapes them:
+// quotes, backslashes, newlines and control characters in lexical forms,
+// language tags and datatype IRIs, with UTF-8 passed through.
+TEST(SparqlJsonTest, TermStringsEscapeLikeJsonEscape) {
+  const std::string plain = "say \"hi\" \\ back\nslash\r\t\x01\x1f caf\xc3\xa9";
+  const std::string tagged = "b\"\n";
+  const std::string typed = "c\\";
+  const std::string datatype = "http://ex/dt\"q";
+  rdf::Graph g;
+  const rdf::Term s = rdf::Term::Iri("http://ex/s");
+  g.Add(s, rdf::Term::Iri("http://ex/a"), rdf::Term::Literal(plain));
+  g.Add(s, rdf::Term::Iri("http://ex/b"),
+        rdf::Term::Literal(tagged, "", "en-GB"));
+  g.Add(s, rdf::Term::Iri("http://ex/c"), rdf::Term::Literal(typed, datatype));
+  g.Finalize();
+  auto eng = engine::QueryEngine::Open(std::move(g));
+  ASSERT_TRUE(eng.ok()) << eng.status().ToString();
+
+  SparqlServerOptions opts;
+  opts.http = TestHttpOptions();
+  SparqlServer srv(&*eng, opts);
+  ASSERT_TRUE(srv.Start().ok());
+  ClientResponse resp = Get(
+      srv.port(),
+      "/sparql?query=" +
+          UrlEncode("SELECT ?a ?b ?c WHERE { ?s <http://ex/a> ?a . "
+                    "?s <http://ex/b> ?b . ?s <http://ex/c> ?c }"));
+  ASSERT_EQ(resp.status, 200) << resp.body;
+
+  auto str = [](const std::string& v) {
+    return "\"" + obs::JsonEscape(v) + "\"";
+  };
+  const std::string expected =
+      "{\"head\":{\"vars\":[\"a\",\"b\",\"c\"]},\"results\":{\"bindings\":[{"
+      "\"a\":{\"type\":\"literal\",\"value\":" + str(plain) + "},"
+      "\"b\":{\"type\":\"literal\",\"value\":" + str(tagged) +
+      ",\"xml:lang\":" + str("en-GB") + "},"
+      "\"c\":{\"type\":\"literal\",\"value\":" + str(typed) +
+      ",\"datatype\":" + str(datatype) + "}}]}}\n";
+  EXPECT_EQ(resp.body, expected);
+  // The escapes themselves, spelled out.
+  EXPECT_NE(resp.body.find(
+                R"("say \"hi\" \\ back\nslash\r\t\u0001\u001f caf)" "\xc3\xa9\""),
+            std::string::npos)
+      << resp.body;
+  EXPECT_NE(resp.body.find(R"("datatype":"http://ex/dt\"q")"),
+            std::string::npos);
+  srv.Stop();
 }
 
 TEST_F(SparqlServerFixture, SparqlPostFormAndDirectBodiesWork) {
